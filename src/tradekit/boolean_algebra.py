@@ -11,15 +11,11 @@ rank of any rational combination of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping
 
 from .combinatorics import Permutation, Subset, binomial, colex_rank, colex_tuples
-from .linalg import RationalMatrix, Vector
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+from .linalg import RationalMatrix, Scalar, Vector, exact
 
 INCLUSION = "inclusion"
 INTERSECTION = "intersection"
@@ -33,7 +29,7 @@ class BooleanElement:
 
     def __init__(self, n: int, terms: Mapping | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], Scalar] = {}
         for subset, coeff in items:
             key = subset.elements if isinstance(subset, Subset) else tuple(subset)
             prev = 0
@@ -41,13 +37,12 @@ class BooleanElement:
                 if not prev < e <= n:
                     raise ValueError(f"bad subset {key} for ground set 1..{n}")
                 prev = e
-            c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-            acc[key] = acc.get(key, _F0) + c
+            acc[key] = acc.get(key, 0) + exact(coeff)
         self.n = n
         self._terms = {k: v for k, v in acc.items() if v}
 
     @classmethod
-    def _make(cls, n: int, terms: dict[tuple[int, ...], Fraction]) -> BooleanElement:
+    def _make(cls, n: int, terms: dict[tuple[int, ...], Scalar]) -> BooleanElement:
         # Fast path for internal callers that guarantee clean terms.
         self = cls.__new__(cls)
         self.n = n
@@ -61,7 +56,7 @@ class BooleanElement:
     @classmethod
     def one(cls, n: int) -> BooleanElement:
         """The multiplicative identity: the empty set with coefficient 1."""
-        return cls._make(n, {(): _F1})
+        return cls._make(n, {(): 1})
 
     @classmethod
     def term(cls, n: int, elements: Iterable[int], coeff=1) -> BooleanElement:
@@ -71,11 +66,11 @@ class BooleanElement:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient(self, subset: Subset | Iterable[int]) -> Fraction:
+    def coefficient(self, subset: Subset | Iterable[int]) -> Scalar:
         key = subset.elements if isinstance(subset, Subset) else tuple(subset)
-        return self._terms.get(key, _F0)
+        return self._terms.get(key, 0)
 
-    def terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
         """Term list sorted by (grade, colex rank)."""
         return sorted(self._terms.items(), key=lambda kv: (len(kv[0]), colex_rank(kv[0])))
 
@@ -103,7 +98,7 @@ class BooleanElement:
         self._require_same_n(other)
         out = dict(self._terms)
         for s, c in other._terms.items():
-            v = out.get(s, _F0) + c
+            v = out.get(s, 0) + c
             if v:
                 out[s] = v
             else:
@@ -116,7 +111,7 @@ class BooleanElement:
     def __mul__(self, other) -> BooleanElement:
         if isinstance(other, BooleanElement):
             self._require_same_n(other)
-            out: dict[tuple[int, ...], Fraction] = {}
+            out: dict[tuple[int, ...], Scalar] = {}
             for sa, ca in self._terms.items():
                 for sb, cb in other._terms.items():
                     if not sb:
@@ -129,7 +124,7 @@ class BooleanElement:
                     out[key] = ca * cb if prev is None else prev + ca * cb
             return BooleanElement._make(self.n, {k: v for k, v in out.items() if v})
         try:
-            c = other if isinstance(other, Fraction) else Fraction(other)
+            c = exact(other)
         except (TypeError, ValueError):
             return NotImplemented
         if not c:
@@ -168,7 +163,7 @@ def subset_sum(subset: Subset, m: int) -> BooleanElement:
         return BooleanElement.one(subset.n)
     if m > len(subset):
         return BooleanElement.zero(subset.n)
-    return BooleanElement._make(subset.n, {c: _F1 for c in combinations(subset.elements, m)})
+    return BooleanElement._make(subset.n, {c: 1 for c in combinations(subset.elements, m)})
 
 
 def deletion_sum(e: BooleanElement, steps: int) -> BooleanElement:
@@ -183,7 +178,7 @@ def deletion_sum(e: BooleanElement, steps: int) -> BooleanElement:
     if not 0 <= steps <= k:
         raise ValueError(f"steps must lie in 0..{k}, got {steps}")
     target = k - steps
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], Scalar] = {}
     for s, c in e._terms.items():
         for t in combinations(s, target):
             prev = out.get(t)
@@ -202,7 +197,7 @@ def permute_element(sigma: Permutation, e: BooleanElement) -> BooleanElement:
 
 def element_to_vector(e: BooleanElement, k: int) -> Vector:
     """Coordinates of a grade-k element over the k-subsets in colex order."""
-    v = [_F0] * binomial(e.n, k)
+    v = [0] * binomial(e.n, k)
     for s, c in e._terms.items():
         if len(s) != k:
             raise ValueError(f"element has a term of grade {len(s)}, expected {k}")
@@ -238,7 +233,7 @@ class MatrixSpec:
     k: int
     kind: str
     l: int | None = None
-    coeffs: tuple[Fraction, ...] | None = None
+    coeffs: tuple[Scalar, ...] | None = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.t <= self.k <= self.n:
@@ -256,11 +251,7 @@ class MatrixSpec:
                 raise ValueError("combination takes no l")
             if self.coeffs is None or len(self.coeffs) != self.t + 1:
                 raise ValueError(f"combination needs exactly t+1={self.t + 1} coefficients")
-            object.__setattr__(
-                self,
-                "coeffs",
-                tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs),
-            )
+            object.__setattr__(self, "coeffs", tuple(exact(c) for c in self.coeffs))
         else:
             raise ValueError(f"unknown matrix kind {self.kind!r}")
 
@@ -292,14 +283,14 @@ def build_matrix(spec: MatrixSpec) -> RationalMatrix:
     """
     row_masks = [_mask(s) for s in colex_tuples(spec.t, spec.n)]
     col_masks = [_mask(s) for s in colex_tuples(spec.k, spec.n)]
-    rows: list[list[Fraction]] = []
+    rows: list[list[Scalar]] = []
     if spec.kind == INCLUSION:
         for a in row_masks:
-            rows.append([_F1 if a & b == a else _F0 for b in col_masks])
+            rows.append([1 if a & b == a else 0 for b in col_masks])
     elif spec.kind == INTERSECTION:
         l = spec.l
         for a in row_masks:
-            rows.append([_F1 if (a & b).bit_count() == l else _F0 for b in col_masks])
+            rows.append([1 if (a & b).bit_count() == l else 0 for b in col_masks])
     else:
         coeffs = spec.coeffs
         for a in row_masks:
@@ -340,7 +331,7 @@ def j_set(t: int, k: int, n: int, coeffs: Iterable) -> set[int]:
     t=1, k=2, n=5 the vector (1, 1) produces the all-ones matrix of rank 1).
     """
     _check_rank_domain(t, k, n)
-    cs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+    cs = tuple(exact(c) for c in coeffs)
     if len(cs) != t + 1:
         raise ValueError(f"need exactly t+1={t + 1} coefficients, got {len(cs)}")
     return {

@@ -1,10 +1,14 @@
-"""Dense exact linear algebra over the rationals.
+"""Dense exact linear algebra with integer or rational entries.
 
 Rank, right null space and span queries are the independent oracle behind
 every verification in this package, so there is no floating point anywhere.
-Rank-only paths rescale each row to coprime integers (which preserves rank)
-and eliminate with integer cross-multiplication plus gcd reduction; the null
-space is computed by plain rational row reduction.
+Coefficients stay as the caller gave them: `exact` keeps ints and Fractions
+and turns anything else into a Fraction.  Rank and span queries all go
+through one routine, `IntegerEchelon`, which rescales each row to coprime
+integers (this preserves rank) and eliminates with integer
+cross-multiplication plus gcd reduction.  `RationalMatrix.kernel_basis` is a
+separate plain rational row reduction, kept as the reference that the rank
+is tested against.
 """
 
 from __future__ import annotations
@@ -13,15 +17,19 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
-Vector = tuple[Fraction, ...]
+Scalar = int | Fraction
+Vector = tuple[Scalar, ...]
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+
+def exact(x) -> Scalar:
+    """An exact coefficient: an int or Fraction as given, anything else
+    (a float, a string such as "1/2", a bool) through `Fraction`."""
+    return x if type(x) is int or isinstance(x, Fraction) else Fraction(x)
 
 
 def _scaled_int_row(row: Sequence) -> list[int]:
     """Rescale a rational row to coprime integers; the zero row stays zero."""
-    fr = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
+    fr = [exact(x) for x in row]
     m = lcm(*(x.denominator for x in fr)) if fr else 1
     ints = [x.numerator * (m // x.denominator) for x in fr]
     g = gcd(*ints) if ints else 0
@@ -30,47 +38,13 @@ def _scaled_int_row(row: Sequence) -> list[int]:
     return ints
 
 
-def _eliminate(rows: list[list[int]]) -> int:
-    """In-place forward elimination over the integers; returns the rank.
-
-    Pivot choice: first nonzero entry scanning top-to-bottom.  Updated rows
-    are divided by their gcd to keep entries small.
-    """
-    nrows = len(rows)
-    if nrows == 0:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        p = prow[col]
-        for i in range(rank + 1, nrows):
-            q = rows[i][col]
-            if q:
-                new = [a * p - b * q for a, b in zip(rows[i], prow)]
-                g = gcd(*new)
-                rows[i] = [v // g for v in new] if g > 1 else new
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
 class RationalMatrix:
-    """An immutable dense matrix of exact rationals."""
+    """An immutable dense matrix of exact integers or rationals."""
 
     __slots__ = ("nrows", "ncols", "_rows")
 
     def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
-        data = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
+        data = [[exact(x) for x in row] for row in rows]
         if ncols is None:
             if not data:
                 raise ValueError("ncols is required for a matrix with no rows")
@@ -84,17 +58,17 @@ class RationalMatrix:
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> RationalMatrix:
-        return cls([[_F0] * ncols for _ in range(nrows)], ncols)
+        return cls([[0] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, n: int) -> RationalMatrix:
-        return cls([[_F1 if i == j else _F0 for j in range(n)] for i in range(n)], n)
+        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int) -> Scalar:
         return self._rows[i][j]
 
     def row(self, i: int) -> Vector:
@@ -119,19 +93,23 @@ class RationalMatrix:
         return f"RationalMatrix({self.nrows}x{self.ncols})"
 
     def rank(self) -> int:
-        """Exact rank over the rationals."""
-        return _eliminate([_scaled_int_row(r) for r in self._rows])
+        """Exact rank over the rationals (the row rank)."""
+        return rank_of_columns(self._rows)
 
     def matvec(self, v: Sequence) -> Vector:
         """Exact matrix-vector product."""
         if len(v) != self.ncols:
             raise ValueError(f"dimension mismatch: {self.ncols} columns vs vector of {len(v)}")
-        vf = [x if isinstance(x, Fraction) else Fraction(x) for x in v]
-        return tuple(sum((a * b for a, b in zip(row, vf)), _F0) for row in self._rows)
+        vf = [exact(x) for x in v]
+        return tuple(sum(a * b for a, b in zip(row, vf)) for row in self._rows)
 
     def kernel_basis(self) -> list[Vector]:
-        """A basis of the right null space; its length is ncols - rank."""
-        rows = [list(r) for r in self._rows]
+        """A basis of the right null space; its length is ncols - rank.
+
+        Plain rational Gauss-Jordan reduction, independent of `rank`.
+        """
+        # Fractions, so that dividing by a pivot stays exact for int entries.
+        rows = [[Fraction(x) for x in r] for r in self._rows]
         pivots: list[int] = []
         r = 0
         for col in range(self.ncols):
@@ -156,8 +134,8 @@ class RationalMatrix:
         for free in range(self.ncols):
             if free in pivot_set:
                 continue
-            v = [_F0] * self.ncols
-            v[free] = _F1
+            v = [0] * self.ncols
+            v[free] = 1
             for i, pc in enumerate(pivots):
                 v[pc] = -rows[i][free]
             basis.append(tuple(v))
@@ -275,7 +253,7 @@ def parse_matrix(text: str) -> RationalMatrix:
         nrows, ncols, nnz = map(int, header)
         if len(lines) != nnz + 1:
             raise ValueError(f"expected {nnz} triples, got {len(lines) - 1}")
-        rows = [[_F0] * ncols for _ in range(nrows)]
+        rows = [[0] * ncols for _ in range(nrows)]
         seen = set()
         for ln in lines[1:]:
             si, sj, sval = ln.split()

@@ -11,16 +11,13 @@ expression into the standard-filling basis with integer coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
 from .boolean_algebra import BooleanElement
 from .combinatorics import binomial
+from .linalg import Scalar, exact
 from .trades import TradeSpec, total_trade
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -132,7 +129,7 @@ class TabloidExpr:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable = ()):
-        acc: dict[Tableau, Fraction] = {}
+        acc: dict[Tableau, Scalar] = {}
         shape = None
         for item, coeff in terms:
             if isinstance(item, Tabloid):
@@ -144,12 +141,11 @@ class TabloidExpr:
                 shape = tab.shape
             elif tab.shape != shape:
                 raise ValueError("mixed shapes in one tabloid expression")
-            c = sgn * (coeff if isinstance(coeff, Fraction) else Fraction(coeff))
-            acc[tab] = acc.get(tab, _F0) + c
+            acc[tab] = acc.get(tab, 0) + sgn * exact(coeff)
         self._terms = {t: c for t, c in acc.items() if c}
 
     @classmethod
-    def _make(cls, terms: dict[Tableau, Fraction]) -> TabloidExpr:
+    def _make(cls, terms: dict[Tableau, Scalar]) -> TabloidExpr:
         self = cls.__new__(cls)
         self._terms = terms
         return self
@@ -158,11 +154,11 @@ class TabloidExpr:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient(self, t: Tableau) -> Fraction:
+    def coefficient(self, t: Tableau) -> Scalar:
         q = canonicalize(t)
-        return q.sign * self._terms.get(q.tableau, _F0)
+        return q.sign * self._terms.get(q.tableau, 0)
 
-    def terms(self) -> list[tuple[Tableau, Fraction]]:
+    def terms(self) -> list[tuple[Tableau, Scalar]]:
         return sorted(self._terms.items(), key=lambda kv: (kv[0].row1, kv[0].row2))
 
     def tableaux(self) -> list[Tableau]:
@@ -181,7 +177,7 @@ class TabloidExpr:
             return NotImplemented
         out = dict(self._terms)
         for t, c in other._terms.items():
-            v = out.get(t, _F0) + c
+            v = out.get(t, 0) + c
             if v:
                 out[t] = v
             else:
@@ -192,7 +188,7 @@ class TabloidExpr:
         return self + (-other)
 
     def __mul__(self, other) -> TabloidExpr:
-        c = other if isinstance(other, Fraction) else Fraction(other)
+        c = exact(other)
         if not c:
             return TabloidExpr._make({})
         return TabloidExpr._make({t: c * v for t, v in self._terms.items()})
@@ -306,26 +302,26 @@ def straighten(e: TabloidExpr, fuel: int = 10**6) -> TabloidExpr:
     number of rewrites; exhausting it signals a non-termination bug and is
     never expected.
     """
-    memo: dict[Tableau, dict[Tableau, Fraction]] = {}
+    memo: dict[Tableau, dict[Tableau, Scalar]] = {}
     budget = fuel
 
-    def expand(tab: Tableau) -> dict[Tableau, Fraction]:
+    def expand(tab: Tableau) -> dict[Tableau, Scalar]:
         nonlocal budget
         hit = memo.get(tab)
         if hit is not None:
             return hit
         violation = _leftmost_violation(tab)
         if violation is None:
-            result = {tab: _F1}
+            result = {tab: 1}
             memo[tab] = result
             return result
         if budget <= 0:
             raise RuntimeError("straightening fuel exhausted")
         budget -= 1
-        acc: dict[Tableau, Fraction] = {}
+        acc: dict[Tableau, Scalar] = {}
         for t2, sgn in _rewrite_step(tab, *violation):
             for std, coeff in expand(t2).items():
-                v = acc.get(std, _F0) + sgn * coeff
+                v = acc.get(std, 0) + sgn * coeff
                 if v:
                     acc[std] = v
                 else:
@@ -333,10 +329,10 @@ def straighten(e: TabloidExpr, fuel: int = 10**6) -> TabloidExpr:
         memo[tab] = acc
         return acc
 
-    out: dict[Tableau, Fraction] = {}
+    out: dict[Tableau, Scalar] = {}
     for tab, coeff in e.terms():
         for std, unit in expand(tab).items():
-            v = out.get(std, _F0) + coeff * unit
+            v = out.get(std, 0) + coeff * unit
             if v:
                 out[std] = v
             else:

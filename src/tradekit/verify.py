@@ -9,10 +9,8 @@ reproducible.
 from __future__ import annotations
 
 import hashlib
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
@@ -256,10 +254,7 @@ def check_combination_rank(
         rng = random.Random(_seed_from("combination", t, k, n, seed))
         vectors = [_random_coeffs(rng, t) for _ in range(seeds)]
         if adversarial:
-            vectors.extend(
-                tuple(Fraction(c) for c in grid)
-                for grid in iter_product((-2, -1, 1, 2), repeat=t + 1)
-            )
+            vectors.extend(iter_product((-2, -1, 1, 2), repeat=t + 1))
     reports = []
     for cs in vectors:
         start = time.perf_counter()
@@ -585,28 +580,10 @@ def _suite_tasks(selector: str, n_max: int, seed: int) -> list[Callable[[], list
     return tasks
 
 
-def worker_count() -> int:
-    """Worker cap from TRADEKIT_THREADS; all available cores when absent."""
-    raw = os.environ.get("TRADEKIT_THREADS", "").strip()
-    if raw:
-        count = int(raw)
-        if count < 1:
-            raise ValueError(f"TRADEKIT_THREADS must be >= 1, got {raw!r}")
-        return count
-    return os.cpu_count() or 1
-
-
 def run_suite(selector: str, n_max: int, seed: int = 0) -> list[Report]:
     """Run one suite (or `all`) over every admissible parameter tuple with
     n <= n_max; reports come back in deterministic parameter order."""
-    tasks = _suite_tasks(selector, n_max, seed)
-    workers = worker_count()
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            buckets = list(pool.map(lambda task: task(), tasks))
-    else:
-        buckets = [task() for task in tasks]
-    return [report for bucket in buckets for report in bucket]
+    return [report for task in _suite_tasks(selector, n_max, seed) for report in task()]
 
 
 def render_reports(reports: Iterable[Report]) -> tuple[str, bool]:

@@ -19,6 +19,7 @@ from tradekit.boolean_algebra import (
     subset_sum,
 )
 from tradekit.combinatorics import Permutation, Subset, binomial, subsets_iter
+from tradekit.trades import TradeSpec, minimal_trade, total_trade
 
 
 def elem(n, *terms):
@@ -174,6 +175,10 @@ def test_build_matrix_examples():
     for j, c in enumerate(cols):
         assert row[j] == (1 if 1 in c else 0)
 
+    # integer incidence matrices carry plain ints, not integral Fractions
+    for spec in (MatrixSpec.inclusion(6, 1, 3), MatrixSpec.intersection(6, 2, 3, 1)):
+        assert all(type(x) is int for row in build_matrix(spec).rows() for x in row)
+
 
 def test_intersection_at_l_equals_t_is_inclusion():
     for n in range(2, 9):
@@ -279,6 +284,25 @@ def test_element_to_vector():
     assert sum(1 for x in v if x) == 2
     with pytest.raises(ValueError):
         element_to_vector(e, 3)
+    # trades have integer coefficients and keep them as ints
+    total = total_trade(TradeSpec(7, 1, 3, (1, 2), (3, 4)))
+    assert all(type(x) is int for x in element_to_vector(total, 3))
+    minimal = minimal_trade(TradeSpec(7, 1, 3, (1, 2), (3, 4), (5,)))
+    assert all(type(c) is int for _, c in minimal.terms())
+    assert all(type(c) is int for _, c in subset_sum(Subset(5, (1, 2, 4)), 2).terms())
+    assert type(BooleanElement.one(3).coefficient(())) is int
+
+
+def test_rational_inputs_become_exact_fractions():
+    half = Fraction(1, 2)
+    for raw in (0.5, "1/2"):
+        c = BooleanElement(3, [((1,), raw)]).coefficient((1,))
+        assert c == half and type(c) is Fraction
+        c = (BooleanElement.term(3, (1,)) * raw).coefficient((1,))
+        assert c == half and type(c) is Fraction
+        spec = MatrixSpec.combination(5, 1, 2, (raw, -2))
+        assert spec.coeffs == (half, -2) and type(spec.coeffs[0]) is Fraction
+        assert not any(isinstance(x, float) for row in build_matrix(spec).rows() for x in row)
 
 
 def test_render_element():

@@ -49,6 +49,22 @@ def test_matrix_combination_requires_coeffs(capsys):
     assert code == 2 and "coeffs" in err
 
 
+def test_matrix_combination_rational_dense(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "matrix", "--kind", "combination",
+        "--n", "4", "--t", "1", "--k", "2", "--coeffs", "1/2,-2",
+    )
+    assert code == 0
+    assert out == (
+        "4 6\n"
+        "-2 -2 1/2 -2 1/2 1/2\n"
+        "-2 1/2 -2 1/2 -2 1/2\n"
+        "1/2 -2 -2 1/2 1/2 -2\n"
+        "1/2 1/2 1/2 -2 -2 -2\n"
+    )
+
+
 def test_matrix_out_file(tmp_path, capsys):
     path = tmp_path / "w.txt"
     code, out, _ = run_cli(
@@ -198,20 +214,3 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert main([]) == 2
     capsys.readouterr()
-
-
-def test_verify_thread_count_does_not_change_output(monkeypatch, capsys):
-    import re
-
-    monkeypatch.setenv("TRADEKIT_THREADS", "4")
-    _, four, _ = run_cli(capsys, "verify", "kernel-decomposition", "--n-max", "5")
-    monkeypatch.setenv("TRADEKIT_THREADS", "1")
-    _, one, _ = run_cli(capsys, "verify", "kernel-decomposition", "--n-max", "5")
-    strip = lambda s: re.sub(r" ms=\d+", "", s)
-    assert strip(four) == strip(one)
-
-
-def test_bad_thread_count_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("TRADEKIT_THREADS", "0")
-    code, _, err = run_cli(capsys, "verify", "inclusion-rank", "--n-max", "4")
-    assert code == 2 and "error" in err

@@ -41,6 +41,7 @@ def test_kernel_is_exactly_null():
         basis = m.kernel_basis()
         assert m.rank() + len(basis) == m.ncols
         for v in basis:
+            assert not any(isinstance(x, float) for x in v)
             assert all(x == 0 for x in m.matvec(v))
         assert rank_of_columns(basis) == len(basis)
 

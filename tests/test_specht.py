@@ -207,6 +207,14 @@ def test_straighten_integrality():
                 q = random_tabloid(rng, shape)
                 out = straighten(TabloidExpr([(q, 1)]))
                 assert all(c.denominator == 1 for _, c in out.terms())
+                # integer inputs stay plain ints, not integral Fractions
+                assert all(type(c) is int for _, c in out.terms())
+                if shape.lambda1 > 1:
+                    g = garnir(q.tableau, 1)
+                    assert all(type(c) is int for _, c in g.terms())
+                    mixed = straighten(g + TabloidExpr([(q, 2)]))
+                    assert mixed == 2 * out
+                    assert all(type(c) is int for _, c in mixed.terms())
 
 
 def test_straighten_consistent_with_trade_map_exhaustive():
