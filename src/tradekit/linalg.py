@@ -232,6 +232,15 @@ def render_sparse(m: RationalMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_scalar(tok: str) -> Scalar:
+    """One matrix-text entry: an int when integral, else a Fraction."""
+    try:
+        x = Fraction(tok)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in entry {tok!r}") from None
+    return x.numerator if x.denominator == 1 else x
+
+
 def parse_matrix(text: str) -> RationalMatrix:
     """Parse either matrix text form (dense: 2 header fields, sparse: 3)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -242,13 +251,8 @@ def parse_matrix(text: str) -> RationalMatrix:
         nrows, ncols = map(int, header)
         if len(lines) != nrows + 1:
             raise ValueError(f"expected {nrows} rows, got {len(lines) - 1}")
-        rows = []
-        for ln in lines[1:]:
-            row = [Fraction(tok) for tok in ln.split()]
-            if len(row) != ncols:
-                raise ValueError(f"expected {ncols} entries per row, got {len(row)}")
-            rows.append(row)
-        return RationalMatrix(rows, ncols)
+        rows = [[_parse_scalar(tok) for tok in ln.split()] for ln in lines[1:]]
+        return RationalMatrix(rows, ncols)  # rejects a row of the wrong length
     if len(header) == 3:
         nrows, ncols, nnz = map(int, header)
         if len(lines) != nnz + 1:
@@ -263,6 +267,6 @@ def parse_matrix(text: str) -> RationalMatrix:
             if (i, j) in seen:
                 raise ValueError(f"duplicate entry at ({si}, {sj})")
             seen.add((i, j))
-            rows[i][j] = Fraction(sval)
+            rows[i][j] = _parse_scalar(sval)
         return RationalMatrix(rows, ncols)
     raise ValueError(f"bad matrix header: {lines[0]!r}")

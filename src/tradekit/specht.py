@@ -175,6 +175,9 @@ class TabloidExpr:
     def __add__(self, other: TabloidExpr) -> TabloidExpr:
         if not isinstance(other, TabloidExpr):
             return NotImplemented
+        a, b = next(iter(self._terms), None), next(iter(other._terms), None)
+        if a is not None and b is not None and a.shape != b.shape:
+            raise ValueError("mixed shapes in one tabloid expression")
         out = dict(self._terms)
         for t, c in other._terms.items():
             v = out.get(t, 0) + c

@@ -3,7 +3,9 @@
 Every check pairs a predicted quantity (closed formula or dimension count)
 with a value computed independently by exact row reduction, and reports both.
 Randomness is always seeded from the check's own parameters so reruns are
-reproducible.
+reproducible.  The span rank and the literal-audit rank are computed once per
+(t, k, n) in each process (only these ints are memoised) and shared between
+`total-trade-dim`, `basis-standard` and `basis-literal-audit`.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import product as iter_product
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -25,7 +28,7 @@ from .boolean_algebra import (
     predicted_rank,
 )
 from .combinatorics import Permutation, binomial, colex_rank, colex_tuples
-from .linalg import IntegerEchelon, rank_of_columns
+from .linalg import IntegerEchelon, Vector, rank_of_columns
 from .specht import TwoRowShape, specht_dim
 from .trades import (
     TradeSpec,
@@ -124,10 +127,31 @@ def _basis_unit(coeff_index: int, t: int) -> tuple[int, ...]:
     return tuple(1 if l == coeff_index else 0 for l in range(t + 1))
 
 
-def check_inclusion_rank(t: int, k: int, n: int) -> RankReport:
-    """Inclusion matrix between grades t and k has full row rank C(n, t)."""
+def _require_half(t: int, k: int, n: int) -> None:
     if not (0 <= t < k and 2 * k <= n):
         raise ValueError(f"need t < k <= n/2, got t={t} k={k} n={n}")
+
+
+@cache
+def _span_rank(t: int, k: int, n: int) -> int:
+    # Rank of all total trades; total_trade_specs rejects t >= k and t + k > n.
+    return rank_of_columns(element_to_vector(e, k) for e in all_total_trades(t, k, n))
+
+
+@cache
+def _literal_rank(t: int, k: int, n: int) -> tuple[int, int]:
+    # (cardinality, rank) of the literal three-condition set.
+    literal = literal_basis_specs(t, k, n)
+    return len(literal), rank_of_columns(element_to_vector(total_trade(s), k) for s in literal)
+
+
+def _basis_vectors(i: int, k: int, n: int) -> list[Vector]:
+    return [element_to_vector(e, k) for _, e in total_trade_basis(i, k, n)]
+
+
+def check_inclusion_rank(t: int, k: int, n: int) -> RankReport:
+    """Inclusion matrix between grades t and k has full row rank C(n, t)."""
+    _require_half(t, k, n)
     start = time.perf_counter()
     computed = build_matrix(MatrixSpec.inclusion(n, t, k)).rank()
     return RankReport(
@@ -146,19 +170,12 @@ def check_total_trade_dim(t: int, k: int, n: int) -> RankReport:
     span is 0 while the predicted value is positive: the report fails there
     by design.
     """
-    if not 0 <= t < k:
-        raise ValueError(f"need 0 <= t < k, got t={t} k={k}")
-    if t + k > n:
-        raise ValueError(f"need t + k <= n, got t={t} k={k} n={n}")
     start = time.perf_counter()
-    computed = rank_of_columns(
-        element_to_vector(e, k) for e in all_total_trades(t, k, n)
-    )
     return RankReport(
         "total-trade-dim",
         {"t": t, "k": k, "n": n},
         predicted=binomial(n, t + 1) - binomial(n, t),
-        computed=computed,
+        computed=_span_rank(t, k, n),
         elapsed_ms=_ms(start),
     )
 
@@ -169,8 +186,7 @@ def check_kernel_decomposition(t: int, k: int, n: int) -> DecompositionReport:
     Checks stratum-by-stratum kernel membership, dimensions, and that the
     concatenated bases are independent and fill the whole null space.
     """
-    if not (0 <= t < k and 2 * k <= n):
-        raise ValueError(f"need t < k <= n/2, got t={t} k={k} n={n}")
+    _require_half(t, k, n)
     start = time.perf_counter()
     w = build_matrix(MatrixSpec.inclusion(n, t, k))
     kernel_dim = binomial(n, k) - w.rank()
@@ -178,7 +194,7 @@ def check_kernel_decomposition(t: int, k: int, n: int) -> DecompositionReport:
     containment = []
     all_vectors = []
     for i in range(t, k):
-        vectors = [element_to_vector(e, k) for _, e in total_trade_basis(i, k, n)]
+        vectors = _basis_vectors(i, k, n)
         in_kernel = all(all(x == 0 for x in w.matvec(v)) for v in vectors)
         summands.append(
             ((n - i - 1, i + 1), specht_dim(TwoRowShape(n - i - 1, i + 1)), rank_of_columns(vectors))
@@ -246,8 +262,7 @@ def check_combination_rank(
     the adversarial grid {-2,-1,1,2}^(t+1), whose sign patterns can silence
     individual isotypic blocks.
     """
-    if not (0 <= t < k and 2 * k <= n):
-        raise ValueError(f"need t < k <= n/2, got t={t} k={k} n={n}")
+    _require_half(t, k, n)
     if coeffs is not None:
         vectors = [tuple(Fraction(c) for c in coeffs)]
     else:
@@ -293,17 +308,11 @@ def check_trade_basis(t: int, k: int, n: int) -> DecompositionReport:
     the report fails there by design.
     """
     start = time.perf_counter()
-    basis = total_trade_basis(t, k, n)
+    vectors = _basis_vectors(t, k, n)
     dim = specht_dim(TwoRowShape(n - t - 1, t + 1))
-    vectors = [element_to_vector(e, k) for _, e in basis]
     basis_rank = rank_of_columns(vectors)
-    span_rank = rank_of_columns(
-        element_to_vector(e, k) for e in all_total_trades(t, k, n)
-    )
-    literal = literal_basis_specs(t, k, n)
-    literal_rank = rank_of_columns(
-        element_to_vector(total_trade(s), k) for s in literal
-    )
+    span_rank = _span_rank(t, k, n)
+    literal_cardinality, literal_rank = _literal_rank(t, k, n)
     return DecompositionReport(
         "basis-standard",
         {"t": t, "k": k, "n": n},
@@ -311,11 +320,11 @@ def check_trade_basis(t: int, k: int, n: int) -> DecompositionReport:
         containment=[span_rank == basis_rank],
         predicted_total=dim,
         computed_total=basis_rank,
-        consistent=len(basis) == dim,
+        consistent=len(vectors) == dim,
         elapsed_ms=_ms(start),
         extras={
             "span_rank": span_rank,
-            "literal_cardinality": len(literal),
+            "literal_cardinality": literal_cardinality,
             "literal_rank": literal_rank,
         },
     )
@@ -325,19 +334,15 @@ def literal_basis_audit(t: int, k: int, n: int) -> RankReport:
     """Report-only comparison of the literal three-condition set's rank with
     the span dimension; never asserted."""
     start = time.perf_counter()
-    literal = literal_basis_specs(t, k, n)
-    literal_rank = rank_of_columns(
-        element_to_vector(total_trade(s), k) for s in literal
-    )
-    report = RankReport(
+    cardinality, literal_rank = _literal_rank(t, k, n)
+    return RankReport(
         "basis-literal-audit",
-        {"t": t, "k": k, "n": n, "cardinality": len(literal)},
+        {"t": t, "k": k, "n": n, "cardinality": cardinality},
         predicted=specht_dim(TwoRowShape(n - t - 1, t + 1)),
         computed=literal_rank,
         elapsed_ms=_ms(start),
         asserted=False,
     )
-    return report
 
 
 def _grade_index_map(sigma: Permutation, k: int) -> list[int]:
@@ -381,16 +386,14 @@ def orbit_decomposition(e: BooleanElement, t: int) -> set[int]:
         raise ValueError("the zero element has no orbit decomposition")
     k = e.homogeneous_grade()
     n = e.n
-    if not (0 <= t < k and 2 * k <= n):
-        raise ValueError(f"need t < k <= n/2, got t={t} k={k} n={n}")
+    _require_half(t, k, n)
     if not is_t_trade(e, t):
         raise ValueError(f"element is not a {t}-trade")
     ech = orbit_span(e, k)
     strata = set()
     total = 0
     for i in range(t, k):
-        vectors = [element_to_vector(b, k) for _, b in total_trade_basis(i, k, n)]
-        if all(ech.contains(v) for v in vectors):
+        if all(ech.contains(v) for v in _basis_vectors(i, k, n)):
             strata.add(i)
             total += binomial(n, i + 1) - binomial(n, i)
     if ech.rank != total:
@@ -402,20 +405,10 @@ def orbit_decomposition(e: BooleanElement, t: int) -> set[int]:
 
 def check_graver_jurkat(t: int, k: int, n: int, seed: int = 0) -> RankReport:
     """The orbit of one random minimal trade spans the whole t-trade space."""
-    if not (0 <= t < k and 2 * k <= n):
-        raise ValueError(f"need t < k <= n/2, got t={t} k={k} n={n}")
+    _require_half(t, k, n)
     start = time.perf_counter()
     rng = random.Random(_seed_from("graver-jurkat", t, k, n, seed))
-    chosen = rng.sample(range(1, n + 1), t + k + 1)
-    spec = TradeSpec(
-        n,
-        t,
-        k,
-        tuple(chosen[: t + 1]),
-        tuple(chosen[t + 1 : 2 * t + 2]),
-        tuple(chosen[2 * t + 2 :]),
-    )
-    ech = orbit_span(minimal_trade(spec), k)
+    ech = orbit_span(minimal_trade(_random_minimal_spec(rng, t, k, n)), k)
     return RankReport(
         "graver-jurkat",
         {"t": t, "k": k, "n": n, "seed": seed},
@@ -430,6 +423,12 @@ def _random_total_spec(rng: random.Random, t: int, k: int, n: int) -> TradeSpec:
     return TradeSpec(n, t, k, tuple(chosen[: t + 1]), tuple(chosen[t + 1 :]))
 
 
+def _random_minimal_spec(rng: random.Random, t: int, k: int, n: int) -> TradeSpec:
+    chosen = rng.sample(range(1, n + 1), t + k + 1)
+    xs, ys, tail = chosen[: t + 1], chosen[t + 1 : 2 * t + 2], chosen[2 * t + 2 :]
+    return TradeSpec(n, t, k, tuple(xs), tuple(ys), tuple(tail))
+
+
 def check_orbit_witness(t: int, k: int, n: int, kind: str, seed: int = 0) -> RankReport:
     """Orbit-span dimension for a constructed witness with known strata.
 
@@ -437,25 +436,14 @@ def check_orbit_witness(t: int, k: int, n: int, kind: str, seed: int = 0) -> Ran
     strata {t..k-1}; `mixed`: a t-total plus a (t+1)-total trade, strata
     {t, t+1} (needs k >= t+2).
     """
-    if not (0 <= t < k and 2 * k <= n):
-        raise ValueError(f"need t < k <= n/2, got t={t} k={k} n={n}")
+    _require_half(t, k, n)
     rng = random.Random(_seed_from("orbit", kind, t, k, n, seed))
     start = time.perf_counter()
     if kind == "total":
         e = total_trade(_random_total_spec(rng, t, k, n))
         expected = {t}
     elif kind == "minimal":
-        chosen = rng.sample(range(1, n + 1), t + k + 1)
-        e = minimal_trade(
-            TradeSpec(
-                n,
-                t,
-                k,
-                tuple(chosen[: t + 1]),
-                tuple(chosen[t + 1 : 2 * t + 2]),
-                tuple(chosen[2 * t + 2 :]),
-            )
-        )
+        e = minimal_trade(_random_minimal_spec(rng, t, k, n))
         expected = set(range(t, k))
     elif kind == "mixed":
         if k < t + 2:

@@ -132,6 +132,14 @@ def test_parse_roundtrip():
         )
         assert parse_matrix(render_dense(m)) == m
         assert parse_matrix(render_sparse(m)) == m
+    # integral tokens parse as int in both forms, the others as Fraction
+    m = RationalMatrix([[0, 2, Fraction(1, 3)], [-1, 0, 5]])
+    for text in (render_dense(m), render_sparse(m)):
+        parsed = parse_matrix(text)
+        assert parsed == m
+        assert [type(x) for row in parsed.rows() for x in row] == [int, int, Fraction] + [int] * 3
+    assert type(parse_matrix("1 1\n4/2\n").entry(0, 0)) is int
+    assert type(parse_matrix("1 1 1\n1 1 4/2\n").entry(0, 0)) is int
 
 
 def test_parse_rejects_bad_text():
@@ -139,5 +147,11 @@ def test_parse_rejects_bad_text():
         parse_matrix("")
     with pytest.raises(ValueError):
         parse_matrix("2 2\n1 1\n")
+    with pytest.raises(ValueError, match="expected 2 columns, got 3"):
+        parse_matrix("1 2\n1 1 1\n")
     with pytest.raises(ValueError):
         parse_matrix("1 2 2\n1 1 5\n1 1 7\n")
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_matrix("1 2\n1 1/0\n")
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_matrix("1 2 1\n1 2 1/0\n")

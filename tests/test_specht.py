@@ -296,3 +296,13 @@ def test_mixed_shapes_rejected():
     b = Tableau(TwoRowShape(3, 0), (1, 2, 3), ())
     with pytest.raises(ValueError):
         TabloidExpr([(a, 1), (b, 1)])
+    c = Tableau(TwoRowShape(3, 1), (1, 2, 3), (4,))
+    for other in (b, c):
+        ea, eo = TabloidExpr([(a, 1)]), TabloidExpr([(other, 1)])
+        with pytest.raises(ValueError, match="mixed shapes"):
+            ea + eo
+        with pytest.raises(ValueError, match="mixed shapes"):
+            ea - eo
+    # the zero expression has no shape and adds to anything
+    assert TabloidExpr([(a, 1)]) + TabloidExpr() == TabloidExpr([(a, 1)])
+    assert TabloidExpr() - TabloidExpr([(c, 1)]) == TabloidExpr([(c, -1)])

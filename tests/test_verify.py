@@ -11,7 +11,7 @@ from tradekit.boolean_algebra import (
 )
 from tradekit.combinatorics import Permutation, binomial, colex_rank, colex_tuples
 from tradekit.linalg import RationalMatrix
-from tradekit.trades import TradeSpec, minimal_trade, total_trade
+from tradekit.trades import TradeSpec, all_total_trades, minimal_trade, total_trade
 from tradekit.verify import (
     check_trade_basis,
     check_combination_rank,
@@ -22,6 +22,7 @@ from tradekit.verify import (
     check_lambda_closed_form,
     check_orbit_witness,
     check_total_trade_dim,
+    literal_basis_audit,
     literal_basis_specs,
     orbit_decomposition,
     orbit_span,
@@ -139,6 +140,28 @@ def test_basis_corollary_examples():
     # the literal three-condition set over-counts here: 3 specs of rank 2
     assert r.extras["literal_cardinality"] == 3
     assert r.extras["literal_rank"] == 2
+
+
+def test_shared_ranks_match_an_independent_reference():
+    # (1,3,4) is on the t + k = n boundary, where every total trade is zero.
+    for t, k, n in [(0, 1, 3), (0, 2, 4), (1, 2, 5), (1, 3, 4), (1, 2, 6)]:
+        rows = [element_to_vector(e, k) for e in all_total_trades(t, k, n)]
+        reference = binomial(n, k) - len(RationalMatrix(rows).kernel_basis())
+        basis = check_trade_basis(t, k, n)
+        assert basis.extras["span_rank"] == check_total_trade_dim(t, k, n).computed == reference
+        audit = literal_basis_audit(t, k, n)
+        assert audit.computed == basis.extras["literal_rank"]
+        assert audit.params["cardinality"] == basis.extras["literal_cardinality"]
+        literal = [element_to_vector(total_trade(s), k) for s in literal_basis_specs(t, k, n)]
+        assert audit.params["cardinality"] == len(literal)
+        assert audit.computed == binomial(n, k) - len(RationalMatrix(literal).kernel_basis())
+
+
+def test_total_trade_dim_rejects_bad_tuples_on_every_call():
+    for args in [(2, 1, 5), (2, 3, 4)]:
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                check_total_trade_dim(*args)
 
 
 def test_literal_basis_specs_conditions():
