@@ -1,7 +1,8 @@
 """Command-line front-end: emit matrices, ranks and coefficient tables,
 construct trades and bases, and run the verification harness.
 
-Exit codes: 0 success/verified, 1 verification failure, 2 usage error.
+Exit codes: 0 success/verified, 1 verification failure, 2 usage error
+(bad arguments, or an `--out` path that cannot be written).
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (UsageError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

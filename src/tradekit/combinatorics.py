@@ -104,6 +104,8 @@ class Permutation:
             raise ValueError(f"images must be a bijection of 1..{self.n}, got {self.images}")
 
     def __call__(self, x: int) -> int:
+        if not 1 <= x <= self.n:
+            raise ValueError(f"point {x} is outside 1..{self.n}")
         return self.images[x - 1]
 
     @classmethod

@@ -1,18 +1,20 @@
-"""Dense exact linear algebra with integer or rational entries.
+"""Exact linear algebra with integer or rational entries.
 
 Rank, right null space and span queries are the independent oracle behind
 every verification in this package, so there is no floating point anywhere.
 Coefficients stay as the caller gave them: `exact` keeps ints and Fractions
-and turns anything else into a Fraction.  Rank and span queries all go
-through one routine, `IntegerEchelon`, which rescales each row to coprime
-integers (this preserves rank) and eliminates with integer
-cross-multiplication plus gcd reduction.  `RationalMatrix.kernel_basis` is a
-separate plain rational row reduction, kept as the reference that the rank
-is tested against.
+and turns anything else into a Fraction.  `RationalMatrix` stores dense
+rows.  Rank and span queries all go through one routine, `IntegerEchelon`,
+a sparse fraction-free elimination: each vector is cleared to integers once
+(this preserves rank), stored rows are sparse coprime integer rows, and a
+row operation touches only the nonzero entries of the stored row.
+`RationalMatrix.kernel_basis` is a separate plain rational row reduction,
+kept as the reference that the rank is tested against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
@@ -25,17 +27,6 @@ def exact(x) -> Scalar:
     """An exact coefficient: an int or Fraction as given, anything else
     (a float, a string such as "1/2", a bool) through `Fraction`."""
     return x if type(x) is int or isinstance(x, Fraction) else Fraction(x)
-
-
-def _scaled_int_row(row: Sequence) -> list[int]:
-    """Rescale a rational row to coprime integers; the zero row stays zero."""
-    fr = [exact(x) for x in row]
-    m = lcm(*(x.denominator for x in fr)) if fr else 1
-    ints = [x.numerator * (m // x.denominator) for x in fr]
-    g = gcd(*ints) if ints else 0
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
 
 
 class RationalMatrix:
@@ -145,51 +136,69 @@ class RationalMatrix:
 class IntegerEchelon:
     """Incremental row-echelon accumulator for exact span and rank queries.
 
-    Rows are kept as coprime integer vectors; each stored row's first nonzero
-    entry sits at a distinct pivot column.
+    Each stored row is a sparse `{column: int}` dict of coprime integers
+    whose first (leading) column is its pivot, with a positive entry there;
+    no two rows share a pivot.  Rows are kept in echelon form, not fully
+    reduced.  An incoming vector is cleared to integers once and reduced
+    only at the pivots where it is nonzero, so each row operation costs
+    the support of the stored row rather than `dim`.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._pivots: list[int] = []
-        self._rows: list[list[int]] = []
+        self._pivots: list[int] = []  # sorted
+        self._rows: list[dict[int, int]] = []  # self._rows[i] leads at self._pivots[i]
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vec: Sequence) -> list[int]:
-        v = _scaled_int_row(vec)
-        if len(v) != self.dim:
-            raise ValueError(f"dimension mismatch: expected {self.dim}, got {len(v)}")
+    def _reduce(self, vec: Sequence) -> dict[int, int]:
+        if len(vec) != self.dim:
+            raise ValueError(f"dimension mismatch: expected {self.dim}, got {len(vec)}")
+        v = {j: x for j, x in enumerate(vec) if x}
+        if any(type(x) is not int for x in v.values()):
+            v = {j: y for j, x in v.items() if (y := exact(x))}
+            m = lcm(*(x.denominator for x in v.values()))
+            v = {j: x.numerator * (m // x.denominator) for j, x in v.items()}
         for pc, row in zip(self._pivots, self._rows):
-            c = v[pc]
-            if c:
-                p = row[pc]
-                v = [a * p - b * c for a, b in zip(v, row)]
-                g = gcd(*v)
-                if g > 1:
-                    v = [x // g for x in v]
+            c = v.get(pc)
+            if not c:
+                continue
+            p = row[pc]
+            if p != 1:
+                g = gcd(p, c)
+                p //= g
+                c //= g
+                if p != 1:
+                    v = {j: x * p for j, x in v.items()}
+            for j, x in row.items():
+                y = v.get(j, 0) - c * x
+                if y:
+                    v[j] = y
+                else:
+                    del v[j]
         return v
 
     def add(self, vec: Sequence) -> bool:
         """Insert a vector; returns True iff it enlarged the span."""
         v = self._reduce(vec)
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is None:
+        if not v:
             return False
+        pivot = min(v)
+        g = gcd(*v.values())
         if v[pivot] < 0:
-            v = [-x for x in v]
-        at = 0
-        while at < len(self._pivots) and self._pivots[at] < pivot:
-            at += 1
+            g = -g
+        if g != 1:
+            v = {j: x // g for j, x in v.items()}
+        at = bisect_left(self._pivots, pivot)
         self._pivots.insert(at, pivot)
         self._rows.insert(at, v)
         return True
 
     def contains(self, vec: Sequence) -> bool:
         """True iff the vector already lies in the accumulated span."""
-        return all(x == 0 for x in self._reduce(vec))
+        return not self._reduce(vec)
 
 
 def rank_of_columns(vectors: Iterable[Sequence]) -> int:

@@ -571,6 +571,8 @@ def _suite_tasks(selector: str, n_max: int, seed: int) -> list[Callable[[], list
 def run_suite(selector: str, n_max: int, seed: int = 0) -> list[Report]:
     """Run one suite (or `all`) over every admissible parameter tuple with
     n <= n_max; reports come back in deterministic parameter order."""
+    if n_max < 1:
+        raise ValueError(f"need n_max >= 1, got {n_max}")
     return [report for task in _suite_tasks(selector, n_max, seed) for report in task()]
 
 

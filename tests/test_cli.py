@@ -214,3 +214,21 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "x.txt")
+    for args in (
+        ["verify", "inclusion-rank", "--n-max", "3", "--out", out],
+        ["lambda", "--n", "5", "--t", "1", "--k", "2", "--out", out],
+    ):
+        code, stdout, err = run_cli(capsys, *args)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ")
+
+
+def test_verify_rejects_n_max_below_one(capsys):
+    for bad in ("0", "-3"):
+        code, out, err = run_cli(capsys, "verify", "inclusion-rank", "--n-max", bad)
+        assert code == 2 and out == "" and "n_max" in err

@@ -104,6 +104,11 @@ def test_permutation_validation():
         Permutation(3, (1, 1, 3))
     with pytest.raises(ValueError):
         Permutation(3, (1, 2))
+    sigma = Permutation(3, (2, 3, 1))
+    assert [sigma(x) for x in (1, 2, 3)] == [2, 3, 1]
+    for outside in (0, -1, 4):
+        with pytest.raises(ValueError):
+            sigma(outside)
 
 
 def test_apply_permutation_examples():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tradekit.linalg import (
     IntegerEchelon,
@@ -102,6 +104,58 @@ def test_integer_echelon_incremental():
     assert ech.rank == 2
     assert ech.contains((1, 3, 4))
     assert not ech.contains((0, 0, 1))
+
+
+_ENTRIES = st.one_of(
+    st.integers(-6, 6), st.fractions(-3, 3, max_denominator=4)
+)
+
+
+@st.composite
+def _rows_and_probes(draw):
+    """Small rational matrices with zero rows and rescaled duplicate rows,
+    plus probe vectors: random ones and one combination of the rows."""
+    ncols = draw(st.integers(1, 6))
+    vector = st.lists(_ENTRIES, min_size=ncols, max_size=ncols)
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(("fresh", "zero", "duplicate")))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "duplicate" and rows:
+            scale = draw(st.sampled_from((1, -1, 3, Fraction(-2, 3))))
+            rows.append([scale * x for x in draw(st.sampled_from(rows))])
+        else:
+            rows.append(draw(vector))
+    coeffs = draw(st.lists(_ENTRIES, min_size=len(rows), max_size=len(rows)))
+    combination = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)]
+    return ncols, rows, draw(st.lists(vector, max_size=3)) + [combination]
+
+
+def _reference_rank(rows, ncols):
+    return ncols - len(RationalMatrix(rows, ncols).kernel_basis())
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(_rows_and_probes())
+# negative leading entries, non-unit pivots, a zero row and duplicates
+@example((3, [[-2, 1, 0], [0, 0, 0], [0, 3, 1], [4, -2, 0], [-2, 4, 1]], [[1, 0, 0], [0, 0, 1]]))
+@example((2, [[Fraction(-3, 2), Fraction(1, 4)], [3, Fraction(-1, 2)]], [[6, -1], [0, 1]]))
+def test_echelon_matches_kernel_reference(case):
+    ncols, rows, probes = case
+    ech = IntegerEchelon(ncols)
+    before = 0
+    for i, row in enumerate(rows):
+        after = _reference_rank(rows[: i + 1], ncols)
+        assert ech.add(row) == (after > before)
+        assert ech.rank == after
+        before = after
+    assert rank_of_columns(rows) == before
+    if rows:
+        assert RationalMatrix(rows).rank() == before
+    for v in probes:
+        inside = _reference_rank(rows + [v], ncols) == before
+        assert ech.contains(v) == in_span(v, rows) == inside
 
 
 def test_matrix_validation():

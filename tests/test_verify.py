@@ -289,6 +289,13 @@ def test_run_suite_unknown_selector():
         run_suite("nonsense", 4)
 
 
+def test_run_suite_rejects_n_max_below_one():
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            run_suite("inclusion-rank", bad)
+    assert [r.claim for r in run_suite("all", 1)] == ["total-trade-dim", "lambda-closed-form"]
+
+
 def test_basis_suite_includes_unasserted_audit():
     reports = run_suite("basis", 4)
     audits = [r for r in reports if r.claim == "basis-literal-audit"]
