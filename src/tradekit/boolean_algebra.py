@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from .combinatorics import Permutation, Subset, binomial, colex_rank, colex_tuples
-from .linalg import RationalMatrix, Scalar, Vector, exact
+from .linalg import RationalMatrix, Scalar, Vector, exact, render_signed_sum
 
 INCLUSION = "inclusion"
 INTERSECTION = "intersection"
@@ -210,18 +210,7 @@ def render_element(e: BooleanElement) -> str:
 
     Coefficients of magnitude one are suppressed, the empty set prints `{}`.
     """
-    if e.is_zero:
-        return "0"
-    parts: list[str] = []
-    for s, c in e.terms():
-        body = "{" + ",".join(map(str, s)) + "}"
-        mag = abs(c)
-        txt = body if mag == 1 else f"{mag}*{body}"
-        if not parts:
-            parts.append(f"-{txt}" if c < 0 else txt)
-        else:
-            parts.append((" - " if c < 0 else " + ") + txt)
-    return "".join(parts)
+    return render_signed_sum(("{" + ",".join(map(str, s)) + "}", c) for s, c in e.terms())
 
 
 @dataclass(frozen=True)

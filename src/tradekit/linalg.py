@@ -9,7 +9,9 @@ a sparse fraction-free elimination: each vector is cleared to integers once
 (this preserves rank), stored rows are sparse coprime integer rows, and a
 row operation touches only the nonzero entries of the stored row.
 `RationalMatrix.kernel_basis` is a separate plain rational row reduction,
-kept as the reference that the rank is tested against.
+kept as the reference that the rank is tested against.  `render_signed_sum`
+is the one signed-sum text form, used for boolean elements and tabloid
+expressions alike.
 """
 
 from __future__ import annotations
@@ -239,6 +241,20 @@ def render_sparse(m: RationalMatrix) -> str:
     for i, j, x in triples:
         lines.append(f"{i} {j} {x}")
     return "\n".join(lines) + "\n"
+
+
+def render_signed_sum(terms: Iterable[tuple[str, Scalar]]) -> str:
+    """`a - 2*b + c` from (text, nonzero coefficient) pairs; coefficients of
+    magnitude one are suppressed, and no terms print `0`."""
+    parts: list[str] = []
+    for body, c in terms:
+        mag = abs(c)
+        txt = body if mag == 1 else f"{mag}*{body}"
+        if parts:
+            parts.append((" - " if c < 0 else " + ") + txt)
+        else:
+            parts.append(f"-{txt}" if c < 0 else txt)
+    return "".join(parts) or "0"
 
 
 def _parse_scalar(tok: str) -> Scalar:

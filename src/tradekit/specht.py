@@ -6,6 +6,10 @@ column, so sorting each height-2 column costs a sign.  The adjacent-column
 elements built by `garnir` span the relations that present the irreducible
 two-row representation as a quotient, and `straighten` rewrites any tabloid
 expression into the standard-filling basis with integer coefficients.
+
+`garnir` and `straighten` share one routine for the column exchanges and one
+column sort.  Straightening runs on raw `(row1, row2)` tuples and builds
+validated `Tableau` objects only for its output terms.
 """
 
 from __future__ import annotations
@@ -16,8 +20,11 @@ from typing import Iterable
 
 from .boolean_algebra import BooleanElement
 from .combinatorics import binomial
-from .linalg import Scalar, exact
+from .linalg import Scalar, exact, render_signed_sum
 from .trades import TradeSpec, total_trade
+
+# The (row1, row2) entries of a two-row filling, as straightening handles them.
+Rows = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -70,16 +77,22 @@ class Tabloid:
             raise ValueError(f"sign must be +-1, got {self.sign}")
 
 
+def _sort_columns(rows: Rows) -> tuple[Rows, int]:
+    # Raw rows with every height-2 column sorted, and the sign of the swaps.
+    r1, r2 = rows
+    top, bottom = list(r1), list(r2)
+    sign = 1
+    for c, (x, y) in enumerate(zip(r1, r2)):
+        if x > y:
+            top[c], bottom[c] = y, x
+            sign = -sign
+    return (tuple(top), tuple(bottom)), sign
+
+
 def canonicalize(t: Tableau) -> Tabloid:
     """Sort every height-2 column increasing top-to-bottom; each swap flips the sign."""
-    r1 = list(t.row1)
-    r2 = list(t.row2)
-    sign = 1
-    for c in range(len(r2)):
-        if r1[c] > r2[c]:
-            r1[c], r2[c] = r2[c], r1[c]
-            sign = -sign
-    return Tabloid(Tableau(t.shape, tuple(r1), tuple(r2)), sign)
+    (r1, r2), sign = _sort_columns((t.row1, t.row2))
+    return Tabloid(Tableau(t.shape, r1, r2), sign)
 
 
 def is_standard(t: Tableau) -> bool:
@@ -212,25 +225,27 @@ def render_tableau(t: Tableau) -> str:
 
 def render_expr(e: TabloidExpr) -> str:
     """Signed sum of tableau forms, `0` for the zero expression."""
-    if e.is_zero:
-        return "0"
-    parts: list[str] = []
-    for t, c in e.terms():
-        mag = abs(c)
-        txt = render_tableau(t) if mag == 1 else f"{mag}*{render_tableau(t)}"
-        if not parts:
-            parts.append(f"-{txt}" if c < 0 else txt)
-        else:
-            parts.append((" - " if c < 0 else " + ") + txt)
-    return "".join(parts)
+    return render_signed_sum((render_tableau(t), c) for t, c in e.terms())
 
 
-def _swapped(u: Tableau, pos_a: tuple[int, int], pos_b: tuple[int, int]) -> Tableau:
-    # Positions are (row, index) with row in {1, 2} and 0-based index.
-    rows = [list(u.row1), list(u.row2)]
-    (ra, ia), (rb, ib) = pos_a, pos_b
-    rows[ra - 1][ia], rows[rb - 1][ib] = rows[rb - 1][ib], rows[ra - 1][ia]
-    return Tableau(u.shape, tuple(rows[0]), tuple(rows[1]))
+def _exchanges(rows: Rows, c: int, row: int) -> list[Rows]:
+    # Raw fillings reached by the column exchange at columns (c, c+1), 1-based.
+    #
+    # For a first-row descent (row 1) this is the relation of `garnir`: the
+    # top of column c+1 exchanges with each entry of column c.  A second-row
+    # descent (row 2) needs the mirrored relation, the bottom of column c
+    # against each entry of column c+1: the top-exchange relation alone sends
+    # these tabloids back and forth without progress.
+    i = c - 1
+    # The moving cell (row, index) and the index of the column it meets.
+    (ra, ia), j = ((0, i + 1), i) if row == 1 else ((1, i), i + 1)
+    out = []
+    for rb in (0, 1):
+        if j < len(rows[rb]):
+            swapped = [list(rows[0]), list(rows[1])]
+            swapped[ra][ia], swapped[rb][j] = swapped[rb][j], swapped[ra][ia]
+            out.append((tuple(swapped[0]), tuple(swapped[1])))
+    return out
 
 
 def garnir(u: Tableau, c: int) -> TabloidExpr:
@@ -244,57 +259,23 @@ def garnir(u: Tableau, c: int) -> TabloidExpr:
     shape = u.shape
     if not 1 <= c <= shape.lambda1 - 1:
         raise ValueError(f"column must lie in 1..{shape.lambda1 - 1}, got {c}")
-    i = c - 1
-    terms: list[tuple[Tableau, int]] = [(u, 1)]
-    if c <= shape.lambda2:
-        terms.append((_swapped(u, (1, i + 1), (1, i)), -1))
-        terms.append((_swapped(u, (1, i + 1), (2, i)), -1))
-    else:
-        terms.append((_swapped(u, (1, i), (1, i + 1)), -1))
+    terms = [(u, 1)]
+    for r1, r2 in _exchanges((u.row1, u.row2), c, 1):
+        terms.append((Tableau(shape, r1, r2), -1))
     return TabloidExpr(terms)
 
 
-def _leftmost_violation(t: Tableau) -> tuple[int, int] | None:
-    # Returns (column c, offending row) for the leftmost descent of a
-    # canonical tableau, or None when the tableau is standard.
-    r1, r2 = t.row1, t.row2
-    lambda2 = t.shape.lambda2
-    for c in range(1, t.shape.lambda1):
+def _leftmost_violation(rows: Rows) -> tuple[int, int] | None:
+    # Returns (column c, offending row) for the leftmost descent of
+    # column-sorted rows, or None when they form a standard filling.
+    r1, r2 = rows
+    lambda2 = len(r2)
+    for c in range(1, len(r1)):
         if r1[c - 1] > r1[c]:
             return c, 1
         if c < lambda2 and r2[c - 1] > r2[c]:
             return c, 2
     return None
-
-
-def _rewrite_step(t: Tableau, c: int, row: int) -> list[tuple[Tableau, int]]:
-    # Expand the canonical tableau t across its descent at columns (c, c+1).
-    #
-    # A first-row descent uses the relation of `garnir`: the top of column
-    # c+1 exchanges with each entry of column c.  A second-row descent needs
-    # the mirrored relation (bottom of column c against each entry of column
-    # c+1): the top-exchange relation alone sends these tabloids back and
-    # forth without progress.
-    i = c - 1
-    lambda2 = t.shape.lambda2
-    if row == 1:
-        if c <= lambda2:
-            raw = [
-                _swapped(t, (1, i + 1), (1, i)),
-                _swapped(t, (1, i + 1), (2, i)),
-            ]
-        else:
-            raw = [_swapped(t, (1, i), (1, i + 1))]
-    else:
-        raw = [
-            _swapped(t, (2, i), (1, i + 1)),
-            _swapped(t, (2, i), (2, i + 1)),
-        ]
-    out = []
-    for u in raw:
-        q = canonicalize(u)
-        out.append((q.tableau, q.sign))
-    return out
 
 
 def straighten(e: TabloidExpr, fuel: int = 10**6) -> TabloidExpr:
@@ -305,42 +286,45 @@ def straighten(e: TabloidExpr, fuel: int = 10**6) -> TabloidExpr:
     number of rewrites; exhausting it signals a non-termination bug and is
     never expected.
     """
-    memo: dict[Tableau, dict[Tableau, Scalar]] = {}
+    memo: dict[Rows, dict[Rows, Scalar]] = {}
     budget = fuel
 
-    def expand(tab: Tableau) -> dict[Tableau, Scalar]:
+    def expand(rows: Rows) -> dict[Rows, Scalar]:
         nonlocal budget
-        hit = memo.get(tab)
+        hit = memo.get(rows)
         if hit is not None:
             return hit
-        violation = _leftmost_violation(tab)
+        violation = _leftmost_violation(rows)
         if violation is None:
-            result = {tab: 1}
-            memo[tab] = result
+            result = {rows: 1}
+            memo[rows] = result
             return result
         if budget <= 0:
             raise RuntimeError("straightening fuel exhausted")
         budget -= 1
-        acc: dict[Tableau, Scalar] = {}
-        for t2, sgn in _rewrite_step(tab, *violation):
-            for std, coeff in expand(t2).items():
+        acc: dict[Rows, Scalar] = {}
+        for raw in _exchanges(rows, *violation):
+            sorted_rows, sgn = _sort_columns(raw)
+            for std, coeff in expand(sorted_rows).items():
                 v = acc.get(std, 0) + sgn * coeff
                 if v:
                     acc[std] = v
                 else:
                     acc.pop(std, None)
-        memo[tab] = acc
+        memo[rows] = acc
         return acc
 
-    out: dict[Tableau, Scalar] = {}
+    out: dict[Rows, Scalar] = {}
+    shape = None
     for tab, coeff in e.terms():
-        for std, unit in expand(tab).items():
+        shape = tab.shape
+        for std, unit in expand((tab.row1, tab.row2)).items():
             v = out.get(std, 0) + coeff * unit
             if v:
                 out[std] = v
             else:
                 out.pop(std, None)
-    return TabloidExpr._make(out)
+    return TabloidExpr._make({Tableau(shape, r1, r2): c for (r1, r2), c in out.items()})
 
 
 def trade_map(q: Tabloid, k: int) -> BooleanElement:

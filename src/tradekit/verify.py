@@ -253,7 +253,6 @@ def check_combination_rank(
     coeffs: Sequence | None = None,
     seeds: int = 20,
     seed: int = 0,
-    adversarial: bool = True,
 ) -> list[RankReport]:
     """Predicted vs computed rank for rational combinations of the intersection
     matrices.
@@ -268,8 +267,7 @@ def check_combination_rank(
     else:
         rng = random.Random(_seed_from("combination", t, k, n, seed))
         vectors = [_random_coeffs(rng, t) for _ in range(seeds)]
-        if adversarial:
-            vectors.extend(iter_product((-2, -1, 1, 2), repeat=t + 1))
+        vectors.extend(iter_product((-2, -1, 1, 2), repeat=t + 1))
     reports = []
     for cs in vectors:
         start = time.perf_counter()

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tradekit.boolean_algebra import BooleanElement
 from tradekit.combinatorics import binomial
@@ -243,6 +245,45 @@ def test_straighten_consistent_with_trade_map_sampled():
                 out = straighten(TabloidExpr([(q, 1)]))
                 rhs = BooleanElement.zero(n) if out.is_zero else trade_map_expr(out, k)
                 assert trade_map(q, k) == rhs
+
+
+@st.composite
+def _filling_and_column(draw):
+    # A two-row filling with 2 <= n <= 9 and a Garnir column, when it has one.
+    n = draw(st.integers(2, 9))
+    lambda2 = draw(st.integers(1, n // 2))
+    perm = draw(st.permutations(range(1, n + 1)))
+    shape = TwoRowShape(n - lambda2, lambda2)
+    u = Tableau(shape, tuple(perm[: shape.lambda1]), tuple(perm[shape.lambda1 :]))
+    c = draw(st.integers(1, shape.lambda1 - 1)) if shape.lambda1 > 1 else None
+    return u, c
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(_filling_and_column())
+def test_straighten_kills_garnir_and_keeps_trade_map(case):
+    u, c = case
+    n, k = u.shape.n, u.shape.lambda2
+    if c is not None:
+        assert straighten(garnir(u, c)).is_zero
+    out = straighten(TabloidExpr([(u, 1)]))
+    rhs = BooleanElement.zero(n) if out.is_zero else trade_map_expr(out, k)
+    assert trade_map(canonicalize(u), k) == rhs
+
+
+@pytest.mark.parametrize("lambda2", [1, 2])
+def test_straighten_long_reversed_filling(lambda2):
+    # Straightening takes one stack frame per rewrite, so these n = 40
+    # near-hooks fit under the default recursion limit; do not raise it here.
+    n = 40
+    xs = tuple(range(n, 0, -1))
+    u = Tableau(TwoRowShape(n - lambda2, lambda2), xs[: n - lambda2], xs[n - lambda2 :])
+    e = TabloidExpr([(u, 1)])
+    out = straighten(e)
+    assert all(is_standard(t) for t in out.tableaux())
+    assert all(type(c) is int for _, c in out.terms())
+    rhs = BooleanElement.zero(n) if out.is_zero else trade_map_expr(out, lambda2)
+    assert trade_map_expr(e, lambda2) == rhs
 
 
 def test_standard_images_independent():
