@@ -1,17 +1,16 @@
 """Exact linear algebra with integer or rational entries.
 
-Rank, right null space and span queries are the independent oracle behind
-every verification in this package, so there is no floating point anywhere.
-Coefficients stay as the caller gave them: `exact` keeps ints and Fractions
-and turns anything else into a Fraction.  `RationalMatrix` stores dense
-rows.  Rank and span queries all go through one routine, `IntegerEchelon`,
-a sparse fraction-free elimination: each vector is cleared to integers once
-(this preserves rank), stored rows are sparse coprime integer rows, and a
-row operation touches only the nonzero entries of the stored row.
-`RationalMatrix.kernel_basis` is a separate plain rational row reduction,
-kept as the reference that the rank is tested against.  `render_signed_sum`
-is the one signed-sum text form, used for boolean elements and tabloid
-expressions alike.
+Rank and span queries are the independent oracle behind every verification
+in this package, so there is no floating point anywhere.  Coefficients stay
+as the caller gave them: `exact` keeps ints and Fractions and turns anything
+else into a Fraction.  `RationalMatrix` stores dense rows.  Rank and span
+queries all go through one routine, `IntegerEchelon`, a sparse fraction-free
+elimination: each vector is cleared to integers once (this preserves rank),
+stored rows are sparse coprime integer rows, and a row operation touches
+only the nonzero entries of the stored row.  The plain rational reduction
+that the rank is tested against lives with the tests, not here.
+`render_signed_sum` is the one signed-sum text form, used for boolean
+elements and tabloid expressions alike.
 """
 
 from __future__ import annotations
@@ -50,10 +49,6 @@ class RationalMatrix:
         self._rows = data
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> RationalMatrix:
-        return cls([[0] * ncols for _ in range(nrows)], ncols)
-
-    @classmethod
     def identity(cls, n: int) -> RationalMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
@@ -70,12 +65,6 @@ class RationalMatrix:
     def rows(self) -> Iterator[Vector]:
         for r in self._rows:
             yield tuple(r)
-
-    def transpose(self) -> RationalMatrix:
-        return RationalMatrix(
-            [[self._rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            self.nrows,
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
@@ -95,44 +84,6 @@ class RationalMatrix:
             raise ValueError(f"dimension mismatch: {self.ncols} columns vs vector of {len(v)}")
         vf = [exact(x) for x in v]
         return tuple(sum(a * b for a, b in zip(row, vf)) for row in self._rows)
-
-    def kernel_basis(self) -> list[Vector]:
-        """A basis of the right null space; its length is ncols - rank.
-
-        Plain rational Gauss-Jordan reduction, independent of `rank`.
-        """
-        # Fractions, so that dividing by a pivot stays exact for int entries.
-        rows = [[Fraction(x) for x in r] for r in self._rows]
-        pivots: list[int] = []
-        r = 0
-        for col in range(self.ncols):
-            piv = None
-            for i in range(r, len(rows)):
-                if rows[i][col]:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv = rows[r][col]
-            rows[r] = [x / inv for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][col]:
-                    f = rows[i][col]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            pivots.append(col)
-            r += 1
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(self.ncols):
-            if free in pivot_set:
-                continue
-            v = [0] * self.ncols
-            v[free] = 1
-            for i, pc in enumerate(pivots):
-                v[pc] = -rows[i][free]
-            basis.append(tuple(v))
-        return basis
 
 
 class IntegerEchelon:

@@ -6,6 +6,9 @@ Randomness is always seeded from the check's own parameters so reruns are
 reproducible.  The span rank and the literal-audit rank are computed once per
 (t, k, n) in each process (only these ints are memoised) and shared between
 `total-trade-dim`, `basis-standard` and `basis-literal-audit`.
+`combination-rank` builds and ranks one matrix per projective class of
+coefficient vectors in each call; the reports that reuse a class's rank
+show `ms=0`, so per-suite `ms=` sums are not comparable with older runs.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import product as iter_product
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .boolean_algebra import (
@@ -246,6 +250,19 @@ def _random_coeffs(rng: random.Random, t: int) -> tuple[Fraction, ...]:
             return cs
 
 
+def _primitive(coeffs: Sequence) -> tuple[int, ...]:
+    # The integer vector on the line through coeffs with coprime entries and
+    # a positive first nonzero entry; the zero vector maps to itself.
+    m = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (m // c.denominator) for c in coeffs]
+    g = gcd(*ints)
+    if not g:
+        return tuple(ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
+
+
 def check_combination_rank(
     t: int,
     k: int,
@@ -259,7 +276,10 @@ def check_combination_rank(
 
     With no explicit coefficients this runs `seeds` seeded random vectors plus
     the adversarial grid {-2,-1,1,2}^(t+1), whose sign patterns can silence
-    individual isotypic blocks.
+    individual isotypic blocks.  Since rank(λW) = rank(W) for λ ≠ 0, each
+    projective class of coefficient vectors is built and ranked once, from
+    its primitive integer representative; every report keeps its own
+    coefficients and prediction, and a report that reuses a rank shows ms=0.
     """
     _require_half(t, k, n)
     if coeffs is not None:
@@ -268,16 +288,19 @@ def check_combination_rank(
         rng = random.Random(_seed_from("combination", t, k, n, seed))
         vectors = [_random_coeffs(rng, t) for _ in range(seeds)]
         vectors.extend(iter_product((-2, -1, 1, 2), repeat=t + 1))
+    ranks: dict[tuple[int, ...], int] = {}
     reports = []
     for cs in vectors:
         start = time.perf_counter()
-        computed = build_matrix(MatrixSpec.combination(n, t, k, cs)).rank()
+        line = _primitive(cs)
+        if line not in ranks:
+            ranks[line] = build_matrix(MatrixSpec.combination(n, t, k, line)).rank()
         reports.append(
             RankReport(
                 "combination-rank",
                 {"t": t, "k": k, "n": n, "coeffs": cs},
                 predicted=predicted_rank(t, k, n, cs),
-                computed=computed,
+                computed=ranks[line],
                 elapsed_ms=_ms(start),
             )
         )

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from linalg_reference import transpose
 from tradekit.boolean_algebra import (
     BooleanElement,
     MatrixSpec,
@@ -198,7 +199,7 @@ def test_intersection_row_and_column_sums_constant():
                     row_sums = {sum(row) for row in m.rows()}
                     assert row_sums == {binomial(t, l) * binomial(n - t, k - l)}
                     # the j=0 coefficient is the constant column sum
-                    col_sums = {sum(row) for row in m.transpose().rows()}
+                    col_sums = {sum(row) for row in transpose(m).rows()}
                     assert col_sums == {lambda_coeff(t, k, n, l, 0)}
 
 

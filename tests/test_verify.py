@@ -3,6 +3,8 @@ import re
 
 import pytest
 
+from linalg_reference import kernel_basis
+from tradekit import verify
 from tradekit.boolean_algebra import (
     MatrixSpec,
     build_matrix,
@@ -117,6 +119,9 @@ def test_combination_rank_explicit_and_scaling():
     assert r7.predicted == r.predicted and r7.computed == r.computed
     (unit,) = check_combination_rank(1, 2, 6, coeffs=(0, 1))
     assert unit.predicted == binomial(6, 1) and unit.passed
+    # the zero vector is its own projective class
+    (zero,) = check_combination_rank(1, 2, 4, coeffs=(0, 0))
+    assert "coeffs=(0,0) predicted=0 computed=0 pass=true" in zero.line()
 
 
 def test_combination_rank_seeded_batch():
@@ -129,6 +134,30 @@ def test_combination_rank_seeded_batch():
     assert [(r.params["coeffs"], r.predicted, r.computed) for r in reports] == [
         (r.params["coeffs"], r.predicted, r.computed) for r in again
     ]
+
+
+def test_combination_rank_one_matrix_per_projective_class(monkeypatch):
+    for t, k, n in [(2, 3, 6), (1, 2, 5)]:
+        reports = check_combination_rank(t, k, n)
+        assert len(reports) == 20 + 4 ** (t + 1)
+        for r in reports:
+            spec = MatrixSpec.combination(n, t, k, r.params["coeffs"])
+            assert r.computed == build_matrix(spec).rank()
+    # (-2,-2) shares its rank with (1,1) but prints its own coefficients
+    (grid,) = [r for r in reports if r.params["coeffs"] == (-2, -2)]
+    assert "params=t=1,k=2,n=5,coeffs=(-2,-2) predicted=" in grid.line()
+    builds = []
+
+    def counting_build(spec):
+        builds.append(spec.kind)
+        return build_matrix(spec)
+
+    monkeypatch.setattr(verify, "build_matrix", counting_build)
+    # the {-2,-1,1,2}^(t+1) grid has 1, 6 and 28 projective classes
+    for t, k, n, classes in [(0, 1, 2, 1), (1, 2, 4, 6), (2, 3, 6, 28)]:
+        builds.clear()
+        assert len(check_combination_rank(t, k, n, seeds=0)) == 4 ** (t + 1)
+        assert builds == ["combination"] * classes
 
 
 def test_basis_corollary_examples():
@@ -146,7 +175,7 @@ def test_shared_ranks_match_an_independent_reference():
     # (1,3,4) is on the t + k = n boundary, where every total trade is zero.
     for t, k, n in [(0, 1, 3), (0, 2, 4), (1, 2, 5), (1, 3, 4), (1, 2, 6)]:
         rows = [element_to_vector(e, k) for e in all_total_trades(t, k, n)]
-        reference = binomial(n, k) - len(RationalMatrix(rows).kernel_basis())
+        reference = binomial(n, k) - len(kernel_basis(RationalMatrix(rows)))
         basis = check_trade_basis(t, k, n)
         assert basis.extras["span_rank"] == check_total_trade_dim(t, k, n).computed == reference
         audit = literal_basis_audit(t, k, n)
@@ -154,7 +183,7 @@ def test_shared_ranks_match_an_independent_reference():
         assert audit.params["cardinality"] == basis.extras["literal_cardinality"]
         literal = [element_to_vector(total_trade(s), k) for s in literal_basis_specs(t, k, n)]
         assert audit.params["cardinality"] == len(literal)
-        assert audit.computed == binomial(n, k) - len(RationalMatrix(literal).kernel_basis())
+        assert audit.computed == binomial(n, k) - len(kernel_basis(RationalMatrix(literal)))
 
 
 def test_total_trade_dim_rejects_bad_tuples_on_every_call():
