@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .combinatorics import Permutation, Subset, binomial, colex_rank, colex_tuples
+from .combinatorics import Permutation, Subset, binomial, colex_index, colex_rank
 from .linalg import RationalMatrix, Scalar, Vector, exact, render_signed_sum
 
 INCLUSION = "inclusion"
@@ -197,11 +197,12 @@ def permute_element(sigma: Permutation, e: BooleanElement) -> BooleanElement:
 
 def element_to_vector(e: BooleanElement, k: int) -> Vector:
     """Coordinates of a grade-k element over the k-subsets in colex order."""
-    v = [0] * binomial(e.n, k)
+    index = colex_index(k, e.n)
+    v = [0] * len(index)
     for s, c in e._terms.items():
         if len(s) != k:
             raise ValueError(f"element has a term of grade {len(s)}, expected {k}")
-        v[colex_rank(s)] = c
+        v[index[s]] = c
     return tuple(v)
 
 
@@ -270,8 +271,8 @@ def build_matrix(spec: MatrixSpec) -> RationalMatrix:
     Entries: inclusion [A ⊆ B]; intersection [|A ∩ B| = l]; combination
     puts coefficient c_l at every cell with |A ∩ B| = l.
     """
-    row_masks = [_mask(s) for s in colex_tuples(spec.t, spec.n)]
-    col_masks = [_mask(s) for s in colex_tuples(spec.k, spec.n)]
+    row_masks = [_mask(s) for s in colex_index(spec.t, spec.n)]
+    col_masks = [_mask(s) for s in colex_index(spec.k, spec.n)]
     rows: list[list[Scalar]] = []
     if spec.kind == INCLUSION:
         for a in row_masks:

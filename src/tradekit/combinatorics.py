@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 
@@ -47,10 +48,16 @@ def colex_rank(s: Subset | Sequence[int]) -> int:
     """Rank of a k-subset in colexicographic order, counting from 0.
 
     Does not depend on the ground-set size: the i-th smallest element e
-    contributes C(e - 1, i).
+    contributes C(e - 1, i).  A raw sequence must be strictly increasing
+    with every element at least 1.
     """
-    elements = s.elements if isinstance(s, Subset) else s
-    return sum(binomial(e - 1, i) for i, e in enumerate(elements, start=1))
+    rank = prev = 0
+    for i, e in enumerate(s.elements if isinstance(s, Subset) else s, start=1):
+        if e <= prev:
+            raise ValueError(f"elements must be strictly increasing and >= 1, got {tuple(s)}")
+        rank += binomial(e - 1, i)
+        prev = e
+    return rank
 
 
 def colex_unrank(r: int, k: int, n: int) -> Subset:
@@ -70,12 +77,24 @@ def colex_unrank(r: int, k: int, n: int) -> Subset:
 
 def colex_tuples(k: int, n: int) -> Iterator[tuple[int, ...]]:
     """All k-subsets of {1..n} as sorted tuples, in colexicographic order."""
+    if k < 0:
+        raise ValueError(f"subset size must be nonnegative, got {k}")
     if k == 0:
         yield ()
         return
     for last in range(k, n + 1):
         for rest in colex_tuples(k - 1, last - 1):
             yield rest + (last,)
+
+
+@lru_cache(maxsize=64)
+def colex_index(k: int, n: int) -> dict[tuple[int, ...], int]:
+    """Colex index of every k-subset tuple of {1..n}, in colex order.
+
+    One shared table per (k, n), so callers must not mutate it.  The cache
+    holds every pair with n <= 9 (55 of them) without eviction.
+    """
+    return {s: colex_rank(s) for s in colex_tuples(k, n)}
 
 
 def subsets_iter(k: int, n: int) -> Iterator[Subset]:

@@ -3,6 +3,8 @@
 A minimal trade multiplies signed pairs (x_i - y_i) by a fixed tail of extra
 elements; a total trade replaces the fixed tail with the sum of all possible
 tails from the leftover ground set.  Both are homogeneous grade-k elements.
+A minimal trade is built as a product in the subset algebra; a total trade is
+written out term by term, because each of its terms arises exactly once.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .boolean_algebra import BooleanElement, deletion_sum, subset_sum
-from .combinatorics import Permutation, Subset
+from .boolean_algebra import BooleanElement, deletion_sum
+from .combinatorics import Permutation
 
 
 @dataclass(frozen=True)
@@ -51,30 +53,37 @@ class TradeSpec:
                 raise ValueError(f"element {e} outside 1..{self.n}")
 
 
-def _pair_product(spec: TradeSpec) -> BooleanElement:
-    out = BooleanElement.one(spec.n)
-    for x, y in zip(spec.xs, spec.ys):
-        out = out * BooleanElement(spec.n, [((x,), 1), ((y,), -1)])
-    return out
-
-
 def minimal_trade(spec: TradeSpec) -> BooleanElement:
     """(x_1-y_1)...(x_{t+1}-y_{t+1}) x_{t+2}...x_k with the spec's fixed tail."""
     if spec.tail is None:
         raise ValueError("minimal trade requires a tail")
-    out = _pair_product(spec)
+    out = BooleanElement.one(spec.n)
+    for x, y in zip(spec.xs, spec.ys):
+        out = out * BooleanElement(spec.n, [((x,), 1), ((y,), -1)])
     for z in spec.tail:
         out = out * BooleanElement.term(spec.n, (z,))
     return out
 
 
 def total_trade(spec: TradeSpec) -> BooleanElement:
-    """Pair product times the sum of all (k-t-1)-subsets of the unused elements."""
+    """Pair product times the sum of all (k-t-1)-subsets of the unused elements.
+
+    Expanded term by term: each of the 2^(t+1) picks of one element per pair
+    (x_i, y_i), signed (-1)^(number of y's picked), joins each (k-t-1)-subset
+    of the unused elements.  Every union arises exactly once, so each
+    coefficient is +-1; when fewer than k-t-1 elements are unused the trade is
+    zero.
+    """
     if spec.tail is not None:
         raise ValueError("total trade takes no tail")
+    picks: list[tuple[tuple[int, ...], int]] = [((), 1)]
+    for x, y in zip(spec.xs, spec.ys):
+        picks = [(p + (x,), sign) for p, sign in picks] + [(p + (y,), -sign) for p, sign in picks]
     used = set(spec.xs) | set(spec.ys)
-    rest = tuple(x for x in range(1, spec.n + 1) if x not in used)
-    return _pair_product(spec) * subset_sum(Subset(spec.n, rest), spec.k - spec.t - 1)
+    rest = [x for x in range(1, spec.n + 1) if x not in used]
+    tails = list(combinations(rest, spec.k - spec.t - 1))
+    terms = {tuple(sorted(p + tail)): sign for p, sign in picks for tail in tails}
+    return BooleanElement._make(spec.n, terms)
 
 
 def is_t_trade(e: BooleanElement, t: int) -> bool:

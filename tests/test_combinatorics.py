@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tradekit.combinatorics import (
     Permutation,
     Subset,
     apply_permutation,
     binomial,
+    colex_index,
     colex_rank,
     colex_tuples,
     colex_unrank,
@@ -50,6 +53,11 @@ def test_colex_rank_examples():
     # rank does not depend on n
     assert colex_rank(Subset(9, (2, 3))) == 2
     assert colex_rank((2, 3)) == 2
+    assert colex_rank([1, 3]) == 1
+    # a raw sequence that is not a subset has no rank
+    for bad in [(3, 2), (0,), (2, 2), (-1, 3), (1, 0)]:
+        with pytest.raises(ValueError):
+            colex_rank(bad)
 
 
 def test_colex_unrank_examples():
@@ -88,6 +96,47 @@ def test_subsets_iter_counts():
 
 def test_colex_tuples_matches_subsets_iter():
     assert list(colex_tuples(2, 5)) == [s.elements for s in subsets_iter(2, 5)]
+
+
+def test_negative_subset_size_rejected():
+    with pytest.raises(ValueError):
+        list(colex_tuples(-1, 3))
+    with pytest.raises(ValueError):
+        list(subsets_iter(-1, 4))
+    with pytest.raises(ValueError):
+        colex_index(-1, 3)
+
+
+def test_colex_index_table():
+    colex_index.cache_clear()
+    pairs = [(k, n) for n in range(10) for k in range(n + 1)]
+    assert len(pairs) == 55
+    for k, n in pairs:
+        table = colex_index(k, n)
+        assert list(table) == list(colex_tuples(k, n))
+        assert list(table.values()) == list(range(binomial(n, k)))
+    assert colex_index(3, 2) == {}
+    # a second sweep over every n <= 9 pair is served from the cache
+    misses = colex_index.cache_info().misses
+    for k, n in pairs:
+        colex_index(k, n)
+    assert colex_index.cache_info().misses == misses
+
+
+@st.composite
+def _rank_k_n(draw):
+    n = draw(st.integers(0, 12))
+    k = draw(st.integers(0, n))
+    return draw(st.integers(0, binomial(n, k) - 1)), k, n
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(_rank_k_n())
+def test_colex_unrank_rank_table_roundtrip(case):
+    r, k, n = case
+    s = colex_unrank(r, k, n)
+    assert colex_rank(s) == r
+    assert colex_index(k, n)[s.elements] == r
 
 
 def test_intersection_size():

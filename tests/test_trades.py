@@ -8,8 +8,9 @@ from tradekit.boolean_algebra import (
     build_matrix,
     element_to_vector,
     permute_element,
+    subset_sum,
 )
-from tradekit.combinatorics import Permutation, binomial
+from tradekit.combinatorics import Permutation, Subset, binomial
 from tradekit.linalg import IntegerEchelon, rank_of_columns
 from tradekit.trades import (
     TradeSpec,
@@ -90,6 +91,35 @@ def test_total_trade_examples():
     assert total_trade(TradeSpec(3, 0, 1, (1,), (2,))) == elem(3, ((1,), 1), ((2,), -1))
     with pytest.raises(ValueError):
         total_trade(TradeSpec(4, 0, 2, (1,), (2,), (3,)))
+
+
+def _product_form_total_trade(spec):
+    # (x_1 - y_1)...(x_{t+1} - y_{t+1}) times the sum of all tails, built
+    # from union products in the subset algebra.
+    n = spec.n
+    out = BooleanElement.one(n)
+    for x, y in zip(spec.xs, spec.ys):
+        out = out * BooleanElement(n, [((x,), 1), ((y,), -1)])
+    used = set(spec.xs) | set(spec.ys)
+    rest = Subset(n, tuple(e for e in range(1, n + 1) if e not in used))
+    return out * subset_sum(rest, spec.k - spec.t - 1)
+
+
+def test_total_trade_equals_product_form():
+    boundary = 0
+    for n in range(2, 9):
+        for k in range(1, n + 1):
+            for t in range(min(k, n - k + 1)):
+                for spec in total_trade_specs(t, k, n):
+                    e = total_trade(spec)
+                    assert e == _product_form_total_trade(spec)
+                    assert all(type(c) is int for _, c in e.terms())
+                    if t + k == n and k >= t + 2:
+                        assert e.is_zero
+                        boundary += 1
+                    else:
+                        assert not e.is_zero and e.homogeneous_grade() == k
+    assert boundary > 0
 
 
 def test_total_trade_sums_minimal_trades():
