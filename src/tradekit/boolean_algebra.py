@@ -273,18 +273,12 @@ def build_matrix(spec: MatrixSpec) -> RationalMatrix:
     """
     row_masks = [_mask(s) for s in colex_index(spec.t, spec.n)]
     col_masks = [_mask(s) for s in colex_index(spec.k, spec.n)]
-    rows: list[list[Scalar]] = []
-    if spec.kind == INCLUSION:
-        for a in row_masks:
-            rows.append([1 if a & b == a else 0 for b in col_masks])
-    elif spec.kind == INTERSECTION:
-        l = spec.l
-        for a in row_masks:
-            rows.append([1 if (a & b).bit_count() == l else 0 for b in col_masks])
-    else:
-        coeffs = spec.coeffs
-        for a in row_masks:
-            rows.append([coeffs[(a & b).bit_count()] for b in col_masks])
+    coeffs = spec.coeffs
+    if coeffs is None:
+        # |A ∩ B| = t iff A ⊆ B, so inclusion is the unit vector at l = t.
+        l = spec.t if spec.kind == INCLUSION else spec.l
+        coeffs = tuple(int(j == l) for j in range(spec.t + 1))
+    rows = [[coeffs[(a & b).bit_count()] for b in col_masks] for a in row_masks]
     return RationalMatrix(rows, len(col_masks))
 
 

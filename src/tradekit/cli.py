@@ -21,7 +21,7 @@ from .boolean_algebra import (
 )
 from .linalg import render_dense, render_sparse
 from .trades import TradeSpec, minimal_trade, render_spec, total_trade, total_trade_basis
-from .verify import render_reports, run_suite
+from .verify import SUITES, render_reports, run_suite
 
 
 class UsageError(ValueError):
@@ -159,12 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_basis.set_defaults(fn=cmd_basis)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument(
-        "suite",
-        help="one of: inclusion-rank, total-trade-dim, kernel-decomposition, "
-        "intersection-rank, combination-rank, basis, graver-jurkat, "
-        "orbit-decomposition, lambda-closed-form, all",
-    )
+    p_verify.add_argument("suite", choices=SUITES + ("all",), help="suite to run")
     p_verify.add_argument("--n-max", type=int, required=True)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out", default=None)

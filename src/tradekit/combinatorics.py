@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterator, Sequence
 
 
@@ -76,15 +77,14 @@ def colex_unrank(r: int, k: int, n: int) -> Subset:
 
 
 def colex_tuples(k: int, n: int) -> Iterator[tuple[int, ...]]:
-    """All k-subsets of {1..n} as sorted tuples, in colexicographic order."""
+    """All k-subsets of {1..n} as sorted tuples, in colexicographic order.
+
+    Sorts the combinations by their reversed tuples, without recursion, so
+    any k works.
+    """
     if k < 0:
         raise ValueError(f"subset size must be nonnegative, got {k}")
-    if k == 0:
-        yield ()
-        return
-    for last in range(k, n + 1):
-        for rest in colex_tuples(k - 1, last - 1):
-            yield rest + (last,)
+    yield from sorted(combinations(range(1, n + 1), k), key=lambda s: s[::-1])
 
 
 @lru_cache(maxsize=64)

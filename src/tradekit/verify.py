@@ -3,12 +3,17 @@
 Every check pairs a predicted quantity (closed formula or dimension count)
 with a value computed independently by exact row reduction, and reports both.
 Randomness is always seeded from the check's own parameters so reruns are
-reproducible.  The span rank and the literal-audit rank are computed once per
-(t, k, n) in each process (only these ints are memoised) and shared between
-`total-trade-dim`, `basis-standard` and `basis-literal-audit`.
+reproducible.  One ordered table maps each suite name to the reports it
+yields over its parameter domain; `SUITES` lists its names, and `all` runs
+the suites in that order.  The span rank and the literal-audit rank are
+computed once per (t, k, n) in each process (only these ints are memoised)
+and shared between `total-trade-dim`, `basis-standard` and
+`basis-literal-audit`.
 `combination-rank` builds and ranks one matrix per projective class of
 coefficient vectors in each call; the reports that reuse a class's rank
 show `ms=0`, so per-suite `ms=` sums are not comparable with older runs.
+The orbit checks act on grade-k coordinates through maps read from the
+shared colex table.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .boolean_algebra import (
     lambda_coeff,
     predicted_rank,
 )
-from .combinatorics import Permutation, binomial, colex_rank, colex_tuples
+from .combinatorics import binomial, colex_index
 from .linalg import IntegerEchelon, Vector, rank_of_columns
 from .specht import TwoRowShape, specht_dim
 from .trades import (
@@ -55,8 +60,13 @@ def _fmt_param(value) -> str:
     return str(value)
 
 
-def _params_str(params: dict) -> str:
-    return ",".join(f"{k}={_fmt_param(v)}" for k, v in params.items())
+def _check_line(report: Report, predicted: int, computed: int) -> str:
+    params = ",".join(f"{k}={_fmt_param(v)}" for k, v in report.params.items())
+    return (
+        f"CHECK {report.claim} params={params} "
+        f"predicted={predicted} computed={computed} "
+        f"pass={'true' if report.passed else 'false'} ms={report.elapsed_ms}"
+    )
 
 
 @dataclass
@@ -75,11 +85,7 @@ class RankReport:
         return self.predicted == self.computed
 
     def line(self) -> str:
-        return (
-            f"CHECK {self.claim} params={_params_str(self.params)} "
-            f"predicted={self.predicted} computed={self.computed} "
-            f"pass={'true' if self.passed else 'false'} ms={self.elapsed_ms}"
-        )
+        return _check_line(self, self.predicted, self.computed)
 
 
 @dataclass
@@ -108,11 +114,7 @@ class DecompositionReport:
         )
 
     def line(self) -> str:
-        return (
-            f"CHECK {self.claim} params={_params_str(self.params)} "
-            f"predicted={self.predicted_total} computed={self.computed_total} "
-            f"pass={'true' if self.passed else 'false'} ms={self.elapsed_ms}"
-        )
+        return _check_line(self, self.predicted_total, self.computed_total)
 
 
 Report = RankReport | DecompositionReport
@@ -366,14 +368,15 @@ def literal_basis_audit(t: int, k: int, n: int) -> RankReport:
     )
 
 
-def _grade_index_map(sigma: Permutation, k: int) -> list[int]:
-    # Index permutation of grade-k coordinates: position i receives the
-    # coefficient sitting at sigma^{-1}(subset_i); transpositions are
-    # self-inverse and those are the only generators used here.
-    return [
-        colex_rank(tuple(sorted(sigma(x) for x in s)))
-        for s in colex_tuples(k, sigma.n)
-    ]
+def _adjacent_maps(k: int, n: int) -> list[list[int]]:
+    # For each transposition (i i+1), position p receives the coefficient at
+    # the image of subset p; a transposition is its own inverse.
+    index = colex_index(k, n)
+    maps = []
+    for i in range(1, n):
+        swap = {i: i + 1, i + 1: i}
+        maps.append([index[tuple(sorted(swap.get(x, x) for x in s))] for s in index])
+    return maps
 
 
 def orbit_span(e: BooleanElement, k: int) -> IntegerEchelon:
@@ -381,7 +384,7 @@ def orbit_span(e: BooleanElement, k: int) -> IntegerEchelon:
     closing under adjacent transpositions until the rank stabilizes."""
     n = e.n
     dim = binomial(n, k)
-    maps = [_grade_index_map(g, k) for g in Permutation.adjacent_transpositions(n)]
+    maps = _adjacent_maps(k, n)
     ech = IntegerEchelon(dim)
     v0 = list(element_to_vector(e, k))
     ech.add(v0)
@@ -526,75 +529,61 @@ def _sum_domain(n_max: int) -> Iterator[tuple[int, int, int]]:
                 yield t, k, n
 
 
-SUITES = (
-    "inclusion-rank",
-    "total-trade-dim",
-    "kernel-decomposition",
-    "intersection-rank",
-    "combination-rank",
-    "basis",
-    "graver-jurkat",
-    "orbit-decomposition",
-    "lambda-closed-form",
-)
+def _basis_suite(n_max: int, seed: int) -> Iterator[Report]:
+    # basis-standard runs first for each tuple, so the literal rank is
+    # computed (and timed) there and the audit reuses it.
+    for t, k, n in _sum_domain(n_max):
+        if n - t - 1 >= t + 1:
+            yield check_trade_basis(t, k, n)
+            yield literal_basis_audit(t, k, n)
 
 
-def _suite_tasks(selector: str, n_max: int, seed: int) -> list[Callable[[], list[Report]]]:
-    tasks: list[Callable[[], list[Report]]] = []
+def _orbit_suite(n_max: int, seed: int) -> Iterator[Report]:
+    for t, k, n in _half_domain(n_max):
+        for kind in ("total", "minimal", "mixed") if k >= t + 2 else ("total", "minimal"):
+            yield check_orbit_witness(t, k, n, kind, seed)
 
-    def one(fn, *args) -> Callable[[], list[Report]]:
-        return lambda: [fn(*args)]
 
-    if selector in ("inclusion-rank", "all"):
-        for t, k, n in _half_domain(n_max):
-            tasks.append(one(check_inclusion_rank, t, k, n))
-    if selector in ("total-trade-dim", "all"):
-        for t, k, n in _sum_domain(n_max):
-            tasks.append(one(check_total_trade_dim, t, k, n))
-    if selector in ("kernel-decomposition", "all"):
-        for t, k, n in _half_domain(n_max):
-            tasks.append(one(check_kernel_decomposition, t, k, n))
-    if selector in ("intersection-rank", "all"):
-        for t, k, n in _half_domain(n_max):
-            for l in range(t + 1):
-                tasks.append(one(check_intersection_rank, t, k, n, l))
-    if selector in ("combination-rank", "all"):
-        for t, k, n in _half_domain(n_max):
-            tasks.append(
-                (lambda t=t, k=k, n=n: check_combination_rank(t, k, n, seed=seed))
-            )
-    if selector in ("basis", "all"):
-        for t, k, n in _sum_domain(n_max):
-            if n - t - 1 >= t + 1:
-                tasks.append(
-                    (
-                        lambda t=t, k=k, n=n: [
-                            check_trade_basis(t, k, n),
-                            literal_basis_audit(t, k, n),
-                        ]
-                    )
-                )
-    if selector in ("graver-jurkat", "all"):
-        for t, k, n in _half_domain(n_max):
-            tasks.append(one(check_graver_jurkat, t, k, n, seed))
-    if selector in ("orbit-decomposition", "all"):
-        for t, k, n in _half_domain(n_max):
-            kinds = ["total", "minimal"] + (["mixed"] if k >= t + 2 else [])
-            for kind in kinds:
-                tasks.append(one(check_orbit_witness, t, k, n, kind, seed))
-    if selector in ("lambda-closed-form", "all"):
-        tasks.append(one(check_lambda_closed_form, n_max))
-    if not tasks and selector not in SUITES + ("all",):
-        raise ValueError(f"unknown suite {selector!r}")
-    return tasks
+# Suite name -> reports over its parameter domain, in the order `all` runs them.
+_SUITE_TABLE: dict[str, Callable[[int, int], Iterable[Report]]] = {
+    "inclusion-rank": lambda n_max, seed: (
+        check_inclusion_rank(*p) for p in _half_domain(n_max)
+    ),
+    "total-trade-dim": lambda n_max, seed: (
+        check_total_trade_dim(*p) for p in _sum_domain(n_max)
+    ),
+    "kernel-decomposition": lambda n_max, seed: (
+        check_kernel_decomposition(*p) for p in _half_domain(n_max)
+    ),
+    "intersection-rank": lambda n_max, seed: (
+        check_intersection_rank(t, k, n, l)
+        for t, k, n in _half_domain(n_max)
+        for l in range(t + 1)
+    ),
+    "combination-rank": lambda n_max, seed: (
+        r for t, k, n in _half_domain(n_max) for r in check_combination_rank(t, k, n, seed=seed)
+    ),
+    "basis": _basis_suite,
+    "graver-jurkat": lambda n_max, seed: (
+        check_graver_jurkat(t, k, n, seed) for t, k, n in _half_domain(n_max)
+    ),
+    "orbit-decomposition": _orbit_suite,
+    "lambda-closed-form": lambda n_max, seed: [check_lambda_closed_form(n_max)],
+}
+
+SUITES = tuple(_SUITE_TABLE)
 
 
 def run_suite(selector: str, n_max: int, seed: int = 0) -> list[Report]:
-    """Run one suite (or `all`) over every admissible parameter tuple with
-    n <= n_max; reports come back in deterministic parameter order."""
+    """Run one suite (or `all`, every suite in `SUITES` order) over every
+    admissible parameter tuple with n <= n_max; reports come back in
+    deterministic parameter order."""
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
-    return [report for task in _suite_tasks(selector, n_max, seed) for report in task()]
+    if selector != "all" and selector not in _SUITE_TABLE:
+        raise ValueError(f"unknown suite {selector!r}")
+    names = SUITES if selector == "all" else (selector,)
+    return [report for name in names for report in _SUITE_TABLE[name](n_max, seed)]
 
 
 def render_reports(reports: Iterable[Report]) -> tuple[str, bool]:

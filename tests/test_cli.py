@@ -1,4 +1,5 @@
 from tradekit.cli import main
+from tradekit.verify import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -13,6 +14,16 @@ def test_matrix_inclusion_dense(capsys):
     )
     assert code == 0
     assert out == "1 2\n1 1\n"
+    assert err == ""
+
+
+def test_matrix_inclusion_large_ground_set(capsys):
+    # one row (the empty set) and one column (the whole 1100-element set)
+    code, out, err = run_cli(
+        capsys, "matrix", "--kind", "inclusion", "--n", "1100", "--t", "0", "--k", "1100"
+    )
+    assert code == 0
+    assert out == "1 1\n1\n"
     assert err == ""
 
 
@@ -179,6 +190,13 @@ def test_verify_command_reports_failures(capsys):
 def test_verify_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "bogus", "--n-max", "4")
     assert code == 2 and "error" in err
+
+
+def test_verify_help_names_every_suite(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--help")
+    assert code == 0
+    for name in SUITES + ("all",):
+        assert name in out
 
 
 def test_verify_lambda_suite(capsys):

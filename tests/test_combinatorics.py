@@ -98,6 +98,14 @@ def test_colex_tuples_matches_subsets_iter():
     assert list(colex_tuples(2, 5)) == [s.elements for s in subsets_iter(2, 5)]
 
 
+def test_colex_tuples_long_subsets_without_recursion():
+    assert list(colex_tuples(1200, 1200)) == [tuple(range(1, 1201))]
+    tuples = list(colex_tuples(1199, 1200))
+    assert len(tuples) == 1200
+    assert tuples[0] == tuple(range(1, 1200)) and tuples[-1] == tuple(range(2, 1201))
+    assert [colex_rank(s) for s in tuples[:3]] == [0, 1, 2]
+
+
 def test_negative_subset_size_rejected():
     with pytest.raises(ValueError):
         list(colex_tuples(-1, 3))

@@ -6,9 +6,11 @@ import pytest
 from linalg_reference import kernel_basis
 from tradekit import verify
 from tradekit.boolean_algebra import (
+    BooleanElement,
     MatrixSpec,
     build_matrix,
     element_to_vector,
+    permute_element,
     predicted_rank,
 )
 from tradekit.combinatorics import Permutation, binomial, colex_rank, colex_tuples
@@ -213,6 +215,19 @@ def test_orbit_span_of_total_trade():
     assert ech.rank == binomial(5, 2) - binomial(5, 1)
 
 
+def test_adjacent_maps_match_permute_element():
+    rng = random.Random(29)
+    for n in range(2, 8):
+        for k in range(n + 1):
+            e = BooleanElement(n, [(s, rng.randint(-3, 3)) for s in colex_tuples(k, n)])
+            v = element_to_vector(e, k)
+            maps = verify._adjacent_maps(k, n)
+            assert len(maps) == n - 1
+            for i, m in enumerate(maps, start=1):
+                moved = permute_element(Permutation.transposition(n, i, i + 1), e)
+                assert [v[p] for p in m] == list(element_to_vector(moved, k))
+
+
 def test_orbit_decomposition_witnesses():
     e = total_trade(TradeSpec(5, 1, 2, (1, 3), (2, 4)))
     assert orbit_decomposition(e, 1) == {1}
@@ -227,8 +242,6 @@ def test_orbit_decomposition_witnesses():
 
 
 def test_orbit_decomposition_rejects_non_trades():
-    from tradekit.boolean_algebra import BooleanElement
-
     not_a_trade = BooleanElement(6, [((1, 2), 1)])
     with pytest.raises(ValueError):
         orbit_decomposition(not_a_trade, 0)
@@ -311,6 +324,15 @@ def test_run_suite_deterministic_order():
     assert [(r.claim, tuple(r.params.items()), r.predicted, r.computed) for r in a] == [
         (r.claim, tuple(r.params.items()), r.predicted, r.computed) for r in b
     ]
+
+
+def test_all_runs_suites_in_table_order():
+    def lines(reports):
+        return [re.sub(r" ms=\d+$", "", r.line()) for r in reports]
+
+    for seed in (0, 4):
+        expected = [ln for name in verify.SUITES for ln in lines(run_suite(name, 5, seed))]
+        assert lines(run_suite("all", 5, seed)) == expected
 
 
 def test_run_suite_unknown_selector():
