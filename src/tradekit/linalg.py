@@ -3,20 +3,29 @@
 Rank and span queries are the independent oracle behind every verification
 in this package, so there is no floating point anywhere.  Coefficients stay
 as the caller gave them: `exact` keeps ints and Fractions and turns anything
-else into a Fraction.  `RationalMatrix` stores dense rows.  Rank and span
-queries all go through one routine, `IntegerEchelon`, a sparse fraction-free
-elimination: each vector is cleared to integers once (this preserves rank),
-stored rows are sparse coprime integer rows, and a row operation touches
-only the nonzero entries of the stored row.  The plain rational reduction
-that the rank is tested against lives with the tests, not here.
+else into a Fraction.  `RationalMatrix` stores dense rows.  Span queries, and
+every rank that the certificate below does not settle, go through one
+routine, `IntegerEchelon`, a sparse fraction-free elimination: each vector
+is cleared to integers once (this preserves rank), stored rows are sparse
+coprime integer rows, and a row operation touches only the nonzero entries
+of the stored row.  `rank_of_columns` (and so `RationalMatrix.rank`) first
+tries a private full-rank certificate: integer vectors that are independent
+modulo the prime 65521 are independent over the rationals, since a maximal
+minor that is nonzero mod p is a nonzero integer.  It answers only "full
+rank", never a smaller rank, and everything else goes to `IntegerEchelon`.
+The plain rational reduction that the rank is tested against lives with the
+tests, not here.
 `render_signed_sum` is the one signed-sum text form, used for boolean
 elements and tabloid expressions alike.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -154,14 +163,72 @@ class IntegerEchelon:
         return not self._reduce(vec)
 
 
-def rank_of_columns(vectors: Iterable[Sequence]) -> int:
-    """Rank of the matrix whose columns are the given vectors."""
-    ech: IntegerEchelon | None = None
+_P = 65521  # the largest prime below 2^16
+_SLOT = 8 * array("Q").itemsize  # bits per packed slot, at least 64
+
+
+def _pack(v: Sequence[int]) -> int:
+    return int.from_bytes(array("Q", [x % _P for x in v]).tobytes(), sys.byteorder)
+
+
+def _independent_mod_p(vectors: Iterator[Sequence], seen: list) -> bool:
+    """True iff every vector of `vectors` is an integer vector and they are
+    linearly independent modulo `_P`.  Each consumed vector is appended to
+    `seen`; on False the iterator stops at the first vector that is not an
+    integer vector of the first one's length, that reduces to zero mod `_P`,
+    or that is one past the dimension.
+
+    Each vector is one int with a `_SLOT`-bit slot per coordinate.  A
+    stored row has entries in [0, p) with 1 at its pivot and 0 at every
+    earlier pivot, so reducing by the rows in insertion order clears every
+    pivot.  Slots are not reduced while a vector is being reduced: after r
+    row operations they stay below (p-1)(1 + r(p-1)), which is below 2^64
+    for every r < 2^32, so no carry crosses a slot.  Only a reduced vector
+    is unpacked.
+    """
+    dim = None
+    mask = (1 << _SLOT) - 1
+    rows: list[tuple[int, int]] = []  # (shift of the pivot slot, packed row)
     for v in vectors:
-        if ech is None:
-            ech = IntegerEchelon(len(v))
+        seen.append(v)
+        if dim is None:
+            dim = len(v)
+        if len(seen) > dim or len(v) != dim or any(type(x) is not int for x in v):
+            return False
+        w = _pack(v)
+        for shift, row in rows:
+            c = ((w >> shift) & mask) % _P
+            if c:
+                w += (_P - c) * row
+        packed = w.to_bytes(dim * _SLOT // 8, sys.byteorder)
+        slots = [x % _P for x in memoryview(packed).cast("Q")]
+        pivot = next((j for j, x in enumerate(slots) if x), None)
+        if pivot is None:
+            return False
+        inv = pow(slots[pivot], -1, _P)
+        shift = _SLOT * (pivot if sys.byteorder == "little" else dim - 1 - pivot)
+        rows.append((shift, _pack([x * inv for x in slots])))
+    return True
+
+
+def rank_of_columns(vectors: Iterable[Sequence]) -> int:
+    """Rank of the matrix whose columns are the given vectors.
+
+    A full-rank certificate modulo the prime p = 65521 answers first: if the
+    vectors are integer vectors independent mod p, some maximal minor of
+    their matrix is nonzero mod p, hence nonzero over Z, and the rank is
+    their number.  The certificate answers only "full rank"; in every other
+    case the vectors it consumed and the rest of the iterable go to
+    `IntegerEchelon`, which computes the rank exactly.
+    """
+    it = iter(vectors)
+    seen: list = []
+    if _independent_mod_p(it, seen):
+        return len(seen)
+    ech = IntegerEchelon(len(seen[0]))
+    for v in chain(seen, it):
         ech.add(v)
-    return 0 if ech is None else ech.rank
+    return ech.rank
 
 
 def in_span(v: Sequence, vectors: Iterable[Sequence]) -> bool:

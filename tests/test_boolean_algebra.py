@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from linalg_reference import transpose
 from tradekit.boolean_algebra import (
@@ -50,6 +52,29 @@ def test_product_accumulates_union_collisions():
     a = elem(3, ((1,), 1), ((1, 2), 1))
     b = elem(3, ((2,), 1))
     assert a * b == elem(3, ((1, 2), 2))
+
+
+@st.composite
+def _element_triples(draw):
+    """Three elements over one ground set n <= 6: few small subsets, so
+    unions collide, and coefficients that may be 0, so elements may be zero."""
+    n = draw(st.integers(0, 6))
+    subset = st.sets(st.integers(1, n), max_size=3).map(sorted) if n else st.just([])
+    coeff = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
+    element = st.lists(st.tuples(subset, coeff), max_size=4)
+    return n, draw(element), draw(element), draw(element)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(_element_triples())
+@example((3, [], [((1,), 1)], [((2,), 1)]))  # a zero factor
+@example((3, [((1,), 1), ((1, 2), 1)], [((2,), 1)], [((1,), -1), ((2,), 1)]))  # collisions
+def test_product_associative_with_identity(case):
+    n, *terms = case
+    a, b, c = (BooleanElement(n, t) for t in terms)
+    one = BooleanElement.one(n)
+    assert (a * b) * c == a * (b * c)
+    assert one * a == a * one == a
 
 
 def test_product_mismatched_n():

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linalg_reference import kernel_basis, transpose, zeros
+from tradekit.boolean_algebra import MatrixSpec, build_matrix
 from tradekit.linalg import (
     IntegerEchelon,
     RationalMatrix,
@@ -63,10 +64,67 @@ def test_rank_invariances_seeded():
         assert RationalMatrix(rows).rank() == r
 
 
-def test_rank_of_columns():
+@pytest.fixture
+def add_calls(monkeypatch):
+    """Counts the `IntegerEchelon.add` calls made while the test runs."""
+    calls = []
+    add = IntegerEchelon.add
+
+    def counted(self, vec):
+        calls.append(vec)
+        return add(self, vec)
+
+    monkeypatch.setattr(IntegerEchelon, "add", counted)
+    return calls
+
+
+def test_rank_of_columns(add_calls):
     assert rank_of_columns([(1, 0), (0, 1), (1, 1)]) == 2
     assert rank_of_columns([]) == 0
     assert rank_of_columns([(1, -1), (2, -2)]) == 1
+    assert rank_of_columns([(), ()]) == 0
+    # a ragged vector raises wherever it comes: while certifying, past the
+    # dimension, or after the certificate has handed over
+    for ragged in (
+        [(1, 0, 0), (0, 1)],
+        [(1, 0), (1, 0, 0)],
+        [(1, 0), (0, 1), (1,)],
+        [(1, 0), (2, 0), (1,)],
+    ):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            rank_of_columns(ragged)
+    # Fraction entries take the exact path, from the first vector on
+    add_calls.clear()
+    assert rank_of_columns([(Fraction(1, 2), 0), (0, Fraction(1, 3))]) == 2
+    assert rank_of_columns([(1, 2), (Fraction(1, 2), 1)]) == 1
+    assert len(add_calls) == 4
+
+
+def test_rank_of_columns_consumes_a_generator_once():
+    pulled = []
+
+    def vectors(rows):
+        for row in rows:
+            pulled.append(row)
+            yield row
+
+    # certified, and handed over after a vector that is zero mod p
+    for rows, rank in (
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3),
+        ([(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 65521), (1, 1, 1)], 3),
+    ):
+        pulled.clear()
+        assert rank_of_columns(vectors(rows)) == rank
+        assert pulled == rows
+
+
+def test_full_rank_certificate_answers_alone(add_calls):
+    m = build_matrix(MatrixSpec.combination(8, 3, 4, (1, -2, 1, 2)))
+    assert m.rank() == m.nrows == 56
+    assert add_calls == []
+    # rows that are dependent mod 65521 go to the exact elimination
+    assert rank_of_columns([(65521, 1), (0, 65521)]) == 2
+    assert len(add_calls) == 2
 
 
 def test_rank_of_columns_permutation_invariant():
@@ -142,6 +200,9 @@ def _reference_rank(rows, ncols):
 # negative leading entries, non-unit pivots, a zero row and duplicates
 @example((3, [[-2, 1, 0], [0, 0, 0], [0, 3, 1], [4, -2, 0], [-2, 4, 1]], [[1, 0, 0], [0, 0, 1]]))
 @example((2, [[Fraction(-3, 2), Fraction(1, 4)], [3, Fraction(-1, 2)]], [[6, -1], [0, 1]]))
+# full rank over Q but not modulo 65521, so the exact fallback answers
+@example((2, [[65521, 1], [0, 65521]], [[1, 0]]))
+@example((2, [[1, 2], [3, 6 + 65521]], [[0, 1]]))
 def test_echelon_matches_kernel_reference(case):
     ncols, rows, probes = case
     ech = IntegerEchelon(ncols)
@@ -195,6 +256,30 @@ def test_parse_roundtrip():
         assert [type(x) for row in parsed.rows() for x in row] == [int, int, Fraction] + [int] * 3
     assert type(parse_matrix("1 1\n4/2\n").entry(0, 0)) is int
     assert type(parse_matrix("1 1 1\n1 1 4/2\n").entry(0, 0)) is int
+
+
+# integral values are ints, as parsing returns them, so types can round-trip
+_CANONICAL_ENTRIES = _ENTRIES.map(lambda x: x.numerator if x.denominator == 1 else x)
+
+
+@st.composite
+def _matrices(draw):
+    """Small int/Fraction matrices, possibly with no rows, with zero rows."""
+    ncols = draw(st.integers(1, 5))
+    zero_row = st.just([0] * ncols)
+    row = st.lists(_CANONICAL_ENTRIES, min_size=ncols, max_size=ncols)
+    return RationalMatrix(draw(st.lists(st.one_of(zero_row, row), max_size=5)), ncols)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(_matrices())
+def test_render_parse_roundtrip(m):
+    for text in (render_dense(m), render_sparse(m)):
+        parsed = parse_matrix(text)
+        assert parsed == m
+        assert [type(x) for row in parsed.rows() for x in row] == [
+            type(x) for row in m.rows() for x in row
+        ]
 
 
 def test_parse_rejects_bad_text():
