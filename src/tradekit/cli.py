@@ -1,13 +1,16 @@
 """Command-line front-end: emit matrices, ranks and coefficient tables,
 construct trades and bases, and run the verification harness.
 
-Exit codes: 0 success/verified, 1 verification failure, 2 usage error
-(bad arguments, or an `--out` path that cannot be written).
+Each command returns its text and exit code, and `main` writes the text to
+stdout or `--out`.  Exit codes: 0 success/verified, 1 verification failure,
+2 usage error (bad arguments, or an `--out` path that cannot be written,
+which is checked before the command does any work).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -28,29 +31,27 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_ints(raw: str) -> tuple[int, ...]:
+def _parse_list(raw: str, convert: type[int] | type[Fraction]) -> tuple:
     try:
-        return tuple(int(tok) for tok in raw.split(",") if tok != "")
-    except ValueError as exc:
-        raise UsageError(f"bad integer list {raw!r}") from exc
-
-
-def _parse_fractions(raw: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(Fraction(tok) for tok in raw.split(",") if tok != "")
+        return tuple(convert(tok) for tok in raw.split(",") if tok != "")
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad rational list {raw!r}") from exc
+        what = "integer" if convert is int else "rational"
+        raise UsageError(f"bad {what} list {raw!r}") from exc
 
 
-def _emit(text: str, out: str | None) -> None:
+def _check_out(out: str | None) -> None:
+    # Fail before any work if the final write could not succeed, without
+    # creating or truncating anything: an existing target must be a
+    # writable file, a new one needs a writable parent directory.
     if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return
+    exists = os.path.exists(out)
+    target = out if exists else os.path.dirname(os.path.abspath(out))
+    if os.path.isdir(target) == exists or not os.access(target, os.W_OK):
+        raise UsageError(f"cannot write --out path {out!r}")
 
 
-def cmd_matrix(args: argparse.Namespace) -> int:
+def cmd_matrix(args: argparse.Namespace) -> tuple[str, int]:
     if args.kind == "inclusion":
         spec = MatrixSpec.inclusion(args.n, args.t, args.k)
     elif args.kind == "intersection":
@@ -60,57 +61,50 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     else:
         if args.coeffs is None:
             raise UsageError("--coeffs is required for combination matrices")
-        spec = MatrixSpec.combination(args.n, args.t, args.k, _parse_fractions(args.coeffs))
-    matrix = build_matrix(spec)
-    text = render_sparse(matrix) if args.format == "sparse" else render_dense(matrix)
-    _emit(text, args.out)
-    return 0
+        spec = MatrixSpec.combination(args.n, args.t, args.k, _parse_list(args.coeffs, Fraction))
+    render = render_sparse if args.format == "sparse" else render_dense
+    return render(build_matrix(spec)), 0
 
 
-def cmd_rank(args: argparse.Namespace) -> int:
-    coeffs = _parse_fractions(args.coeffs)
+def cmd_rank(args: argparse.Namespace) -> tuple[str, int]:
+    coeffs = _parse_list(args.coeffs, Fraction)
     predicted = predicted_rank(args.t, args.k, args.n, coeffs)
     computed = build_matrix(MatrixSpec.combination(args.n, args.t, args.k, coeffs)).rank()
     indices = ",".join(str(j) for j in sorted(j_set(args.t, args.k, args.n, coeffs)))
-    _emit(f"J={{{indices}}} predicted={predicted} computed={computed}\n", args.out)
-    return 0 if predicted == computed else 1
+    text = f"J={{{indices}}} predicted={predicted} computed={computed}\n"
+    return text, 0 if predicted == computed else 1
 
 
-def cmd_lambda(args: argparse.Namespace) -> int:
+def cmd_lambda(args: argparse.Namespace) -> tuple[str, int]:
     n, t, k = args.n, args.t, args.k
     if not 0 <= t <= k <= n:
         raise UsageError(f"need 0 <= t <= k <= n, got t={t} k={k} n={n}")
     lines = []
     for j in range(t + 1):
         lines.append(" ".join(str(lambda_coeff(t, k, n, l, j)) for l in range(t + 1)))
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def cmd_trades(args: argparse.Namespace) -> int:
-    xs = _parse_ints(args.xs)
-    ys = _parse_ints(args.ys)
-    tail = _parse_ints(args.tail) if args.tail is not None else None
+def cmd_trades(args: argparse.Namespace) -> tuple[str, int]:
+    xs = _parse_list(args.xs, int)
+    ys = _parse_list(args.ys, int)
+    tail = _parse_list(args.tail, int) if args.tail is not None else None
     spec = TradeSpec(args.n, args.t, args.k, xs, ys, tail)
     trade = minimal_trade(spec) if tail is not None else total_trade(spec)
-    _emit(f"{render_spec(spec)}\n{render_element(trade)}\n", args.out)
-    return 0
+    return f"{render_spec(spec)}\n{render_element(trade)}\n", 0
 
 
-def cmd_basis(args: argparse.Namespace) -> int:
+def cmd_basis(args: argparse.Namespace) -> tuple[str, int]:
     lines = [
         f"{render_spec(spec)} | {render_element(trade)}"
         for spec, trade in total_trade_basis(args.t, args.k, args.n)
     ]
-    _emit("\n".join(lines) + "\n" if lines else "", args.out)
-    return 0
+    return ("\n".join(lines) + "\n" if lines else ""), 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    reports = run_suite(args.suite, args.n_max, args.seed)
-    text, ok = render_reports(reports)
-    _emit(text, args.out)
-    return 0 if ok else 1
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+    text, ok = render_reports(run_suite(args.suite, args.n_max, args.seed))
+    return text, 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,7 +170,14 @@ def main(argv: list[str] | None = None) -> int:
         # argparse already printed a usage message on error
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        _check_out(args.out)
+        text, code = args.fn(args)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -50,6 +50,8 @@ class RationalMatrix:
             if not data:
                 raise ValueError("ncols is required for a matrix with no rows")
             ncols = len(data[0])
+        if ncols < 0:
+            raise ValueError(f"ncols must be nonnegative, got {ncols}")
         for row in data:
             if len(row) != ncols:
                 raise ValueError(f"ragged rows: expected {ncols} columns, got {len(row)}")
@@ -290,6 +292,8 @@ def parse_matrix(text: str) -> RationalMatrix:
     if not lines:
         raise ValueError("empty matrix text")
     header = lines[0].split()
+    if len(header) in (2, 3) and any(int(field) < 0 for field in header):
+        raise ValueError(f"negative count in matrix header: {lines[0]!r}")
     if len(header) == 2:
         nrows, ncols = map(int, header)
         if len(lines) != nrows + 1:

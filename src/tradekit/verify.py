@@ -12,8 +12,9 @@ and shared between `total-trade-dim`, `basis-standard` and
 `combination-rank` builds and ranks one matrix per projective class of
 coefficient vectors in each call; the reports that reuse a class's rank
 show `ms=0`, so per-suite `ms=` sums are not comparable with older runs.
-The orbit checks act on grade-k coordinates through maps read from the
-shared colex table.
+The orbit checks spin a span under the two generators (1 2) and
+(1 2 ... n) of the symmetric group, acting on grade-k coordinates through
+maps read from the shared colex table.
 """
 
 from __future__ import annotations
@@ -129,10 +130,6 @@ def _ms(start: float) -> int:
     return int((time.perf_counter() - start) * 1000)
 
 
-def _basis_unit(coeff_index: int, t: int) -> tuple[int, ...]:
-    return tuple(1 if l == coeff_index else 0 for l in range(t + 1))
-
-
 def _require_half(t: int, k: int, n: int) -> None:
     if not (0 <= t < k and 2 * k <= n):
         raise ValueError(f"need t < k <= n/2, got t={t} k={k} n={n}")
@@ -149,6 +146,11 @@ def _literal_rank(t: int, k: int, n: int) -> tuple[int, int]:
     # (cardinality, rank) of the literal three-condition set.
     literal = literal_basis_specs(t, k, n)
     return len(literal), rank_of_columns(element_to_vector(total_trade(s), k) for s in literal)
+
+
+def _strata_dim(strata: Iterable[int], n: int) -> int:
+    # Stratum i spans S^(n-i-1,i+1), of dimension C(n, i+1) - C(n, i).
+    return sum(binomial(n, i + 1) - binomial(n, i) for i in strata)
 
 
 def _basis_vectors(i: int, k: int, n: int) -> list[Vector]:
@@ -232,12 +234,11 @@ def check_intersection_rank(t: int, k: int, n: int, l: int) -> RankReport:
     if not 0 <= l <= t:
         raise ValueError(f"need 0 <= l <= t, got l={l}")
     start = time.perf_counter()
-    coeffs = _basis_unit(l, t)
     computed = build_matrix(MatrixSpec.intersection(n, t, k, l)).rank()
     return RankReport(
         "intersection-rank",
         {"t": t, "k": k, "n": n, "l": l},
-        predicted=predicted_rank(t, k, n, coeffs),
+        predicted=predicted_rank(t, k, n, [int(j == l) for j in range(t + 1)]),
         computed=computed,
         elapsed_ms=_ms(start),
     )
@@ -368,35 +369,32 @@ def literal_basis_audit(t: int, k: int, n: int) -> RankReport:
     )
 
 
-def _adjacent_maps(k: int, n: int) -> list[list[int]]:
-    # For each transposition (i i+1), position p receives the coefficient at
-    # the image of subset p; a transposition is its own inverse.
+def _generator_maps(k: int, n: int) -> list[list[int]]:
+    # Coordinate maps of the n-cycle (1 2 ... n) and, for n > 2, of the
+    # transposition (1 2); together they generate S_n (for n <= 2 the cycle
+    # alone does).  Under a generator g, position p receives the coefficient
+    # at g^-1 of subset p, as in permute_element(g, .).
     index = colex_index(k, n)
-    maps = []
-    for i in range(1, n):
-        swap = {i: i + 1, i + 1: i}
-        maps.append([index[tuple(sorted(swap.get(x, x) for x in s))] for s in index])
-    return maps
+    inverses = [{1: n} | {x: x - 1 for x in range(2, n + 1)}]
+    if n > 2:
+        inverses.append({1: 2, 2: 1})
+    return [[index[tuple(sorted(g.get(x, x) for x in s))] for s in index] for g in inverses]
 
 
 def orbit_span(e: BooleanElement, k: int) -> IntegerEchelon:
     """Span of the symmetric-group orbit of a grade-k element, computed by
-    closing under adjacent transpositions until the rank stabilizes."""
-    n = e.n
-    dim = binomial(n, k)
-    maps = _adjacent_maps(k, n)
-    ech = IntegerEchelon(dim)
+    spinning: each new span vector has its images under the two generators
+    (1 2) and (1 2 ... n) of S_n reduced, until no image grows the span."""
+    maps = _generator_maps(k, e.n)
+    ech = IntegerEchelon(binomial(e.n, k))
     v0 = list(element_to_vector(e, k))
     ech.add(v0)
-    pending = [v0]
-    while pending:
-        fresh = []
-        for v in pending:
-            for m in maps:
-                w = [v[m[i]] for i in range(dim)]
-                if ech.add(w):
-                    fresh.append(w)
-        pending = fresh
+    spun = [v0]
+    for v in spun:  # grows while walked, so each new span vector is spun once
+        for m in maps:
+            w = [v[p] for p in m]
+            if ech.add(w):
+                spun.append(w)
     return ech
 
 
@@ -414,12 +412,8 @@ def orbit_decomposition(e: BooleanElement, t: int) -> set[int]:
     if not is_t_trade(e, t):
         raise ValueError(f"element is not a {t}-trade")
     ech = orbit_span(e, k)
-    strata = set()
-    total = 0
-    for i in range(t, k):
-        if all(ech.contains(v) for v in _basis_vectors(i, k, n)):
-            strata.add(i)
-            total += binomial(n, i + 1) - binomial(n, i)
+    strata = {i for i in range(t, k) if all(ech.contains(v) for v in _basis_vectors(i, k, n))}
+    total = _strata_dim(strata, n)
     if ech.rank != total:
         raise VerificationError(
             f"orbit span dimension {ech.rank} != {total}, the total over strata {sorted(strata)}"
@@ -479,12 +473,11 @@ def check_orbit_witness(t: int, k: int, n: int, kind: str, seed: int = 0) -> Ran
     else:
         raise ValueError(f"unknown witness kind {kind!r}")
     strata = orbit_decomposition(e, t)
-    computed = sum(binomial(n, i + 1) - binomial(n, i) for i in strata)
     return RankReport(
         f"orbit-{kind}",
         {"t": t, "k": k, "n": n, "strata": tuple(sorted(strata))},
-        predicted=sum(binomial(n, i + 1) - binomial(n, i) for i in expected),
-        computed=computed,
+        predicted=_strata_dim(expected, n),
+        computed=_strata_dim(strata, n),
         elapsed_ms=_ms(start),
     )
 

@@ -357,3 +357,20 @@ def test_deletion_sum_matches_inclusion_matrix():
         w = build_matrix(MatrixSpec.inclusion(n, t, k))
         lhs = element_to_vector(deletion_sum(e, steps), t)
         assert lhs == w.matvec(element_to_vector(e, k))
+
+
+def test_invalid_arguments_rejected():
+    with pytest.raises(ValueError, match="bad subset"):
+        BooleanElement(3, [((2, 1), 1)])
+    with pytest.raises(ValueError, match="subset size must be nonnegative"):
+        subset_sum(Subset(4, (1, 2)), -1)
+    with pytest.raises(ValueError, match="mismatched ground sets: 3 != 4"):
+        permute_element(Permutation.identity(3), BooleanElement.zero(4))
+    with pytest.raises(ValueError, match="inclusion takes neither l nor coeffs"):
+        MatrixSpec(5, 1, 2, "inclusion", l=0)
+    with pytest.raises(ValueError, match="intersection takes no coeffs"):
+        MatrixSpec(5, 1, 2, "intersection", l=0, coeffs=(1, 0))
+    with pytest.raises(ValueError, match="combination takes no l"):
+        MatrixSpec(5, 1, 2, "combination", l=0, coeffs=(1, 0))
+    with pytest.raises(ValueError, match=r"need exactly t\+1=2 coefficients, got 1"):
+        j_set(1, 2, 5, (1,))

@@ -1,3 +1,6 @@
+import pytest
+
+from tradekit import cli
 from tradekit.cli import main
 from tradekit.verify import SUITES
 
@@ -250,3 +253,39 @@ def test_verify_rejects_n_max_below_one(capsys):
     for bad in ("0", "-3"):
         code, out, err = run_cli(capsys, "verify", "inclusion-rank", "--n-max", bad)
         assert code == 2 and out == "" and "n_max" in err
+
+
+def test_unwritable_out_fails_before_the_command_runs(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "run_suite", lambda *args: calls.append(args) or [])
+    missing = str(tmp_path / "missing" / "x.txt")
+    for out in (missing, str(tmp_path)):
+        code, stdout, err = run_cli(capsys, "verify", "all", "--n-max", "10", "--out", out)
+        assert code == 2 and stdout == "" and "cannot write --out path" in err
+    assert calls == []
+    assert run_cli(capsys, "verify", "all", "--n-max", "3", "--out", str(tmp_path / "r"))[0] == 0
+    assert len(calls) == 1
+
+
+def test_failed_command_leaves_existing_out_file(tmp_path, capsys):
+    out = tmp_path / "kept.txt"
+    out.write_text("earlier\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "lambda", "--n", "5", "--t", "3", "--k", "2", "--out", str(out))
+    assert code == 2 and "need 0 <= t <= k <= n" in err
+    assert out.read_text(encoding="utf-8") == "earlier\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["trades", "--n", "6", "--t", "1", "--k", "3", "--xs", "1,a", "--ys", "2,4"],
+         "bad integer list"),
+        (["rank", "--n", "6", "--t", "1", "--k", "2", "--coeffs", "1,x"], "bad rational list"),
+        (["matrix", "--kind", "intersection", "--n", "6", "--t", "1", "--k", "2"],
+         "--l is required"),
+        (["lambda", "--n", "5", "--t", "3", "--k", "2"], "need 0 <= t <= k <= n"),
+    ],
+)
+def test_usage_errors_exit_2(capsys, argv, message):
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2 and stdout == "" and message in err

@@ -198,3 +198,12 @@ def test_permutation_inverse_and_transpositions():
     gens = Permutation.adjacent_transpositions(4)
     assert len(gens) == 3
     assert gens[0].images == (2, 1, 3, 4)
+
+
+def test_invalid_arguments_rejected():
+    with pytest.raises(ValueError, match="ground-set size must be nonnegative"):
+        Subset(-1, ())
+    with pytest.raises(ValueError, match=r"bad transposition \(1 1\) on 1..3"):
+        Permutation.transposition(3, 1, 1)
+    with pytest.raises(ValueError, match="mismatched ground sets: 3 != 4"):
+        Permutation.identity(3).compose(Permutation.identity(4))

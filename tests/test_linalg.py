@@ -295,3 +295,23 @@ def test_parse_rejects_bad_text():
         parse_matrix("1 2\n1 1/0\n")
     with pytest.raises(ValueError, match="zero denominator"):
         parse_matrix("1 2 1\n1 2 1/0\n")
+
+
+def test_negative_dimensions_rejected():
+    with pytest.raises(ValueError, match="ncols must be nonnegative, got -2"):
+        RationalMatrix([], -2)
+    with pytest.raises(ValueError, match="negative count in matrix header"):
+        parse_matrix("0 -3\n")
+    with pytest.raises(ValueError, match="negative count in matrix header"):
+        parse_matrix("-1 2 0\n")
+    with pytest.raises(ValueError, match="negative count in matrix header"):
+        parse_matrix("2 -1 0\n")
+
+
+def test_parse_rejects_bad_sparse_text():
+    with pytest.raises(ValueError, match="expected 2 triples, got 1"):
+        parse_matrix("2 2 2\n1 1 5\n")
+    with pytest.raises(ValueError, match=r"index \(3, 1\) out of range"):
+        parse_matrix("2 2 1\n3 1 5\n")
+    with pytest.raises(ValueError, match="bad matrix header"):
+        parse_matrix("1 2 3 4\n")

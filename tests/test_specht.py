@@ -347,3 +347,15 @@ def test_mixed_shapes_rejected():
     # the zero expression has no shape and adds to anything
     assert TabloidExpr([(a, 1)]) + TabloidExpr() == TabloidExpr([(a, 1)])
     assert TabloidExpr() - TabloidExpr([(c, 1)]) == TabloidExpr([(c, -1)])
+
+
+def test_invalid_arguments_rejected():
+    shape = TwoRowShape(2, 2)
+    with pytest.raises(ValueError, match="sign must be"):
+        Tabloid(Tableau(shape, (1, 2), (3, 4)), 2)
+    non_standard = TabloidExpr([(Tableau(shape, (3, 1), (4, 2)), 1)])
+    assert not non_standard.is_zero
+    with pytest.raises(RuntimeError, match="straightening fuel exhausted"):
+        straighten(non_standard, fuel=0)
+    with pytest.raises(ValueError, match="cannot infer the ground set"):
+        trade_map_expr(TabloidExpr(), 2)

@@ -324,3 +324,10 @@ def test_strength_is_downward_closed():
     assert s == 2
     for lower in range(s + 1):
         assert is_t_trade(e, lower)
+
+
+def test_invalid_arguments_rejected():
+    with pytest.raises(ValueError, match="mismatched ground sets: 5 != 6"):
+        permute_spec(Permutation.identity(5), TradeSpec(6, 0, 1, (1,), (2,)))
+    with pytest.raises(ValueError, match=r"need t \+ k <= n, got t=1 k=3 n=3"):
+        total_trade_basis(1, 3, 3)

@@ -14,7 +14,7 @@ from tradekit.boolean_algebra import (
     predicted_rank,
 )
 from tradekit.combinatorics import Permutation, binomial, colex_rank, colex_tuples
-from tradekit.linalg import RationalMatrix
+from tradekit.linalg import IntegerEchelon, RationalMatrix
 from tradekit.trades import TradeSpec, all_total_trades, minimal_trade, total_trade
 from tradekit.verify import (
     check_trade_basis,
@@ -112,6 +112,13 @@ def test_intersection_rank_examples():
     assert check_intersection_rank(2, 3, 10, 1).passed
     with pytest.raises(ValueError):
         check_intersection_rank(1, 2, 6, 2)
+
+
+def test_intersection_rank_rejects_bad_domain():
+    with pytest.raises(ValueError, match="need t <= k <= n/2, got t=2 k=1 n=6"):
+        check_intersection_rank(2, 1, 6, 0)
+    with pytest.raises(ValueError, match="need t <= k <= n/2, got t=1 k=3 n=5"):
+        check_intersection_rank(1, 3, 5, 0)
 
 
 def test_combination_rank_explicit_and_scaling():
@@ -215,17 +222,67 @@ def test_orbit_span_of_total_trade():
     assert ech.rank == binomial(5, 2) - binomial(5, 1)
 
 
-def test_adjacent_maps_match_permute_element():
+def test_generator_maps_match_permute_element():
     rng = random.Random(29)
-    for n in range(2, 8):
+    for n in range(1, 8):
+        gens = [Permutation(n, tuple(range(2, n + 1)) + (1,))]  # (1 2 ... n)
+        if n > 2:
+            gens.append(Permutation.transposition(n, 1, 2))
         for k in range(n + 1):
             e = BooleanElement(n, [(s, rng.randint(-3, 3)) for s in colex_tuples(k, n)])
             v = element_to_vector(e, k)
-            maps = verify._adjacent_maps(k, n)
-            assert len(maps) == n - 1
-            for i, m in enumerate(maps, start=1):
-                moved = permute_element(Permutation.transposition(n, i, i + 1), e)
-                assert [v[p] for p in m] == list(element_to_vector(moved, k))
+            maps = verify._generator_maps(k, n)
+            assert len(maps) == len(gens)
+            for g, m in zip(gens, maps):
+                assert [v[p] for p in m] == list(element_to_vector(permute_element(g, e), k))
+
+
+def _transposition_closure(e, k):
+    # Reference span: a basis of the closure of e under every adjacent
+    # transposition (i i+1), from images of elements already in the basis.
+    n = e.n
+    ech = IntegerEchelon(binomial(n, k))
+    found = [e] if ech.add(element_to_vector(e, k)) else []
+    for x in found:
+        for i in range(1, n):
+            y = permute_element(Permutation.transposition(n, i, i + 1), x)
+            if ech.add(element_to_vector(y, k)):
+                found.append(y)
+    return [element_to_vector(x, k) for x in found]
+
+
+def _assert_same_span(e, k):
+    spun = orbit_span(e, k)
+    basis = _transposition_closure(e, k)
+    assert spun.rank == len(basis)
+    assert all(spun.contains(v) for v in basis)
+    return spun.rank
+
+
+def test_orbit_span_equals_transposition_closure():
+    rng = random.Random(31)
+    for n in range(1, 8):
+        for k in range(n + 1):
+            subsets = list(colex_tuples(k, n))
+            for _ in range(3):
+                terms = rng.sample(subsets, rng.randint(1, min(3, len(subsets))))
+                _assert_same_span(
+                    BooleanElement(n, [(s, rng.choice((-2, -1, 1, 3))) for s in terms]), k
+                )
+    for t, k, n in ((0, 1, 3), (0, 2, 5), (1, 2, 6), (0, 3, 7), (1, 3, 7)):
+        e = minimal_trade(verify._random_minimal_spec(random.Random(n + k), t, k, n))
+        assert _assert_same_span(e, k) == binomial(n, k) - binomial(n, t)
+
+
+def test_orbit_span_small_ground_sets():
+    assert orbit_span(BooleanElement(0, [((), 1)]), 0).rank == 1
+    assert orbit_span(BooleanElement(1, [((1,), 1)]), 1).rank == 1
+    assert orbit_span(BooleanElement(1, [((), 2)]), 0).rank == 1
+    assert orbit_span(BooleanElement(2, [((1,), 1)]), 1).rank == 2
+    assert orbit_span(BooleanElement(2, [((1,), 1), ((2,), -1)]), 1).rank == 1
+    assert orbit_span(BooleanElement(2, [((1,), 1), ((2,), 1)]), 1).rank == 1
+    assert orbit_span(BooleanElement(2, [((1, 2), 5)]), 2).rank == 1
+    assert orbit_span(BooleanElement.zero(2), 1).rank == 0
 
 
 def test_orbit_decomposition_witnesses():
@@ -247,6 +304,15 @@ def test_orbit_decomposition_rejects_non_trades():
         orbit_decomposition(not_a_trade, 0)
     with pytest.raises(ValueError):
         orbit_decomposition(BooleanElement.zero(6), 0)
+
+
+def test_orbit_decomposition_guard_catches_unaccounted_rank(monkeypatch):
+    # With no stratum vectors every stratum counts as contained, so the
+    # strata total C(7,3) - 1 exceeds the total trade's orbit rank 6.
+    monkeypatch.setattr(verify, "_basis_vectors", lambda i, k, n: [])
+    e = total_trade(TradeSpec(7, 0, 3, (1,), (2,)))
+    with pytest.raises(verify.VerificationError, match=r"orbit span dimension 6 != 34"):
+        orbit_decomposition(e, 0)
 
 
 def test_orbit_witness_checks():
