@@ -8,7 +8,8 @@ yields over its parameter domain; `SUITES` lists its names, and `all` runs
 the suites in that order.  The span rank and the literal-audit rank are
 computed once per (t, k, n) in each process (only these ints are memoised)
 and shared between `total-trade-dim`, `basis-standard` and
-`basis-literal-audit`.
+`basis-literal-audit`; the span rank is the orbit span of one total trade,
+which the symmetric group carries onto every other up to sign.
 `combination-rank` builds and ranks one matrix per projective class of
 coefficient vectors in each call; the reports that reuse a class's rank
 show `ms=0`, so per-suite `ms=` sums are not comparable with older runs.
@@ -42,7 +43,6 @@ from .linalg import IntegerEchelon, Vector, rank_of_columns
 from .specht import TwoRowShape, specht_dim
 from .trades import (
     TradeSpec,
-    all_total_trades,
     is_t_trade,
     minimal_trade,
     total_trade,
@@ -137,8 +137,12 @@ def _require_half(t: int, k: int, n: int) -> None:
 
 @cache
 def _span_rank(t: int, k: int, n: int) -> int:
-    # Rank of all total trades; total_trade_specs rejects t >= k and t + k > n.
-    return rank_of_columns(element_to_vector(e, k) for e in all_total_trades(t, k, n))
+    # Rank of all total trades, spun from the first one: sigma T(x, y) is
+    # +-T(sigma x, sigma y), so their span is the orbit span of any one.
+    # total_trade_specs rejects t >= k and t + k > n, and yields no spec
+    # when n = 2t + 1, k = t + 1.
+    spec = next(total_trade_specs(t, k, n), None)
+    return 0 if spec is None else orbit_span(total_trade(spec), k).rank
 
 
 @cache
@@ -173,6 +177,12 @@ def check_inclusion_rank(t: int, k: int, n: int) -> RankReport:
 
 def check_total_trade_dim(t: int, k: int, n: int) -> RankReport:
     """Span of all total trades has dimension C(n, t+1) - C(n, t).
+
+    The span is spun from one total trade T(x, y), the first spec's, with
+    `orbit_span`.  That is the span of all of them: a permutation sigma
+    sends T(x, y) to +-T(sigma x, sigma y), and S_n is transitive on the
+    sequences of t+1 disjoint pairs, so every total trade is +- an image of
+    the first.
 
     On the boundary t + k = n, k >= t + 2 every total trade is zero, so the
     span is 0 while the predicted value is positive: the report fails there

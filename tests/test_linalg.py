@@ -64,20 +64,6 @@ def test_rank_invariances_seeded():
         assert RationalMatrix(rows).rank() == r
 
 
-@pytest.fixture
-def add_calls(monkeypatch):
-    """Counts the `IntegerEchelon.add` calls made while the test runs."""
-    calls = []
-    add = IntegerEchelon.add
-
-    def counted(self, vec):
-        calls.append(vec)
-        return add(self, vec)
-
-    monkeypatch.setattr(IntegerEchelon, "add", counted)
-    return calls
-
-
 def test_rank_of_columns(add_calls):
     assert rank_of_columns([(1, 0), (0, 1), (1, 1)]) == 2
     assert rank_of_columns([]) == 0

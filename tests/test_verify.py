@@ -14,7 +14,7 @@ from tradekit.boolean_algebra import (
     predicted_rank,
 )
 from tradekit.combinatorics import Permutation, binomial, colex_rank, colex_tuples
-from tradekit.linalg import IntegerEchelon, RationalMatrix
+from tradekit.linalg import IntegerEchelon, RationalMatrix, rank_of_columns
 from tradekit.trades import TradeSpec, all_total_trades, minimal_trade, total_trade
 from tradekit.verify import (
     check_trade_basis,
@@ -193,6 +193,26 @@ def test_shared_ranks_match_an_independent_reference():
         literal = [element_to_vector(total_trade(s), k) for s in literal_basis_specs(t, k, n)]
         assert audit.params["cardinality"] == len(literal)
         assert audit.computed == binomial(n, k) - len(kernel_basis(RationalMatrix(literal)))
+
+
+def test_span_rank_matches_enumeration():
+    # The domain holds the t + k = n boundary, where every total trade is
+    # zero, and (1, 2, 3), where n = 2t + 1 leaves no spec at all; every
+    # spec of every tuple is built and ranked on the enumeration side.
+    domain = list(verify._sum_domain(8))
+    assert (1, 3, 4) in domain and (1, 2, 3) in domain
+    for t, k, n in domain:
+        rows = [element_to_vector(e, k) for e in all_total_trades(t, k, n)]
+        assert verify._span_rank(t, k, n) == rank_of_columns(rows), (t, k, n)
+
+
+def test_span_rank_spins_one_trade(add_calls):
+    # Spinning reduces the first trade and two images per span vector; the
+    # 210 total trades at (1, 3, 8) are never eliminated.
+    verify._span_rank.cache_clear()
+    rank = verify._span_rank(1, 3, 8)
+    assert rank == binomial(8, 2) - binomial(8, 1)
+    assert 0 < len(add_calls) <= 2 * rank + 1
 
 
 def test_total_trade_dim_rejects_bad_tuples_on_every_call():
