@@ -3,9 +3,9 @@
 An element is a finitely supported rational combination of subsets; the
 product of two basis subsets is their union, with the empty set as identity.
 Grade-k elements are coordinate vectors over the k-subsets in colex order.
-The module also builds the inclusion/intersection incidence matrices between
-grade pieces and computes the alternating-sum coefficients that predict the
-rank of any rational combination of them.
+The module also builds the incidence matrix of any rational combination of
+the intersection matrices between grade pieces (the inclusion matrix is one
+of them) and computes the alternating-sum coefficients that predict its rank.
 """
 
 from __future__ import annotations
@@ -14,12 +14,15 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .combinatorics import Permutation, Subset, binomial, colex_index, colex_rank
+from .combinatorics import (
+    Permutation,
+    Subset,
+    binomial,
+    colex_index,
+    colex_rank,
+    require_ground_size,
+)
 from .linalg import RationalMatrix, Scalar, Vector, exact, render_signed_sum
-
-INCLUSION = "inclusion"
-INTERSECTION = "intersection"
-COMBINATION = "combination"
 
 
 class BooleanElement:
@@ -28,6 +31,7 @@ class BooleanElement:
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: Mapping | Iterable = ()):
+        require_ground_size(n)
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[tuple[int, ...], Scalar] = {}
         for subset, coeff in items:
@@ -51,12 +55,12 @@ class BooleanElement:
 
     @classmethod
     def zero(cls, n: int) -> BooleanElement:
-        return cls._make(n, {})
+        return cls(n)
 
     @classmethod
     def one(cls, n: int) -> BooleanElement:
         """The multiplicative identity: the empty set with coefficient 1."""
-        return cls._make(n, {(): 1})
+        return cls(n, {(): 1})
 
     @classmethod
     def term(cls, n: int, elements: Iterable[int], coeff=1) -> BooleanElement:
@@ -216,46 +220,39 @@ def render_element(e: BooleanElement) -> str:
 
 @dataclass(frozen=True)
 class MatrixSpec:
-    """Parameters of an incidence matrix between the grade-t and grade-k pieces."""
+    """The combination sum_l c_l W_l of intersection matrices between the
+    grade-t and grade-k pieces, given by its coefficient vector (c_0..c_t).
+
+    The intersection matrix W_l is the unit vector e_l, and the inclusion
+    matrix is W_t, so `inclusion(n, t, k) == intersection(n, t, k, t)`.
+    """
 
     n: int
     t: int
     k: int
-    kind: str
-    l: int | None = None
-    coeffs: tuple[Scalar, ...] | None = None
+    coeffs: tuple[Scalar, ...]
 
     def __post_init__(self) -> None:
         if not 0 <= self.t <= self.k <= self.n:
             raise ValueError(f"need 0 <= t <= k <= n, got t={self.t} k={self.k} n={self.n}")
-        if self.kind == INCLUSION:
-            if self.l is not None or self.coeffs is not None:
-                raise ValueError("inclusion takes neither l nor coeffs")
-        elif self.kind == INTERSECTION:
-            if self.coeffs is not None:
-                raise ValueError("intersection takes no coeffs")
-            if self.l is None or not 0 <= self.l <= self.t:
-                raise ValueError(f"intersection needs 0 <= l <= t, got l={self.l}")
-        elif self.kind == COMBINATION:
-            if self.l is not None:
-                raise ValueError("combination takes no l")
-            if self.coeffs is None or len(self.coeffs) != self.t + 1:
-                raise ValueError(f"combination needs exactly t+1={self.t + 1} coefficients")
-            object.__setattr__(self, "coeffs", tuple(exact(c) for c in self.coeffs))
-        else:
-            raise ValueError(f"unknown matrix kind {self.kind!r}")
+        if len(self.coeffs) != self.t + 1:
+            raise ValueError(f"combination needs exactly t+1={self.t + 1} coefficients")
+        object.__setattr__(self, "coeffs", tuple(exact(c) for c in self.coeffs))
 
     @classmethod
     def inclusion(cls, n: int, t: int, k: int) -> MatrixSpec:
-        return cls(n, t, k, INCLUSION)
+        # |A ∩ B| = t iff A ⊆ B for a t-set A.
+        return cls(n, t, k, tuple(int(j == t) for j in range(t + 1)))
 
     @classmethod
     def intersection(cls, n: int, t: int, k: int, l: int) -> MatrixSpec:
-        return cls(n, t, k, INTERSECTION, l=l)
+        if not 0 <= l <= t:
+            raise ValueError(f"intersection needs 0 <= l <= t, got l={l}")
+        return cls(n, t, k, tuple(int(j == l) for j in range(t + 1)))
 
     @classmethod
     def combination(cls, n: int, t: int, k: int, coeffs: Iterable) -> MatrixSpec:
-        return cls(n, t, k, COMBINATION, coeffs=tuple(coeffs))
+        return cls(n, t, k, tuple(coeffs))
 
 
 def _mask(elements: tuple[int, ...]) -> int:
@@ -266,18 +263,11 @@ def _mask(elements: tuple[int, ...]) -> int:
 
 
 def build_matrix(spec: MatrixSpec) -> RationalMatrix:
-    """Incidence matrix with C(n,t) rows and C(n,k) columns in colex order.
-
-    Entries: inclusion [A ⊆ B]; intersection [|A ∩ B| = l]; combination
-    puts coefficient c_l at every cell with |A ∩ B| = l.
-    """
+    """Incidence matrix with C(n,t) rows and C(n,k) columns in colex order:
+    the cell of t-set A and k-set B holds c_l, where l = |A ∩ B|."""
     row_masks = [_mask(s) for s in colex_index(spec.t, spec.n)]
     col_masks = [_mask(s) for s in colex_index(spec.k, spec.n)]
     coeffs = spec.coeffs
-    if coeffs is None:
-        # |A ∩ B| = t iff A ⊆ B, so inclusion is the unit vector at l = t.
-        l = spec.t if spec.kind == INCLUSION else spec.l
-        coeffs = tuple(int(j == l) for j in range(spec.t + 1))
     rows = [[coeffs[(a & b).bit_count()] for b in col_masks] for a in row_masks]
     return RationalMatrix(rows, len(col_masks))
 

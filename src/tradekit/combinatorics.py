@@ -16,6 +16,11 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
+def require_ground_size(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"ground-set size must be nonnegative, got {n}")
+
+
 @dataclass(frozen=True)
 class Subset:
     """A subset of {1..n}, stored as a strictly increasing tuple of elements."""
@@ -25,8 +30,7 @@ class Subset:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "elements", tuple(self.elements))
-        if self.n < 0:
-            raise ValueError(f"ground-set size must be nonnegative, got {self.n}")
+        require_ground_size(self.n)
         prev = 0
         for e in self.elements:
             if not prev < e <= self.n:
@@ -119,6 +123,7 @@ class Permutation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "images", tuple(self.images))
+        require_ground_size(self.n)
         if sorted(self.images) != list(range(1, self.n + 1)):
             raise ValueError(f"images must be a bijection of 1..{self.n}, got {self.images}")
 
@@ -138,11 +143,6 @@ class Permutation:
         images = list(range(1, n + 1))
         images[i - 1], images[j - 1] = j, i
         return cls(n, tuple(images))
-
-    @classmethod
-    def adjacent_transpositions(cls, n: int) -> list[Permutation]:
-        """The n-1 generators (i, i+1); they generate the whole symmetric group."""
-        return [cls.transposition(n, i, i + 1) for i in range(1, n)]
 
     def compose(self, other: Permutation) -> Permutation:
         """self after other: compose(self, other)(x) = self(other(x))."""

@@ -340,8 +340,6 @@ def trade_map(q: Tabloid, k: int) -> BooleanElement:
     n = shape.n
     if not t < k:
         raise ValueError(f"need k > {t} for shape ({shape.lambda1}, {shape.lambda2})")
-    if t + k > n:
-        raise ValueError(f"need t + k <= n, got t={t} k={k} n={n}")
     spec = TradeSpec(n, t, k, q.tableau.row1[: t + 1], q.tableau.row2)
     return q.sign * total_trade(spec)
 

@@ -5,14 +5,15 @@ with a value computed independently by exact row reduction, and reports both.
 Randomness is always seeded from the check's own parameters so reruns are
 reproducible.  One ordered table maps each suite name to the reports it
 yields over its parameter domain; `SUITES` lists its names, and `all` runs
-the suites in that order.  The span rank and the literal-audit rank are
-computed once per (t, k, n) in each process (only these ints are memoised)
-and shared between `total-trade-dim`, `basis-standard` and
-`basis-literal-audit`; the span rank is the orbit span of one total trade,
-which the symmetric group carries onto every other up to sign.
-`combination-rank` builds and ranks one matrix per projective class of
-coefficient vectors in each call; the reports that reuse a class's rank
-show `ms=0`, so per-suite `ms=` sums are not comparable with older runs.
+the suites in that order.  Only ints are memoised, once per process: the
+span rank and the literal-audit rank per (t, k, n), shared between
+`total-trade-dim`, `basis-standard` and `basis-literal-audit`, and the rank
+of each distinct `MatrixSpec`, shared between `inclusion-rank`,
+`kernel-decomposition`, `intersection-rank` and `combination-rank` (W_t is
+ranked once for the first three).  The span rank is the orbit span of one
+total trade, which the symmetric group carries onto every other up to sign.
+A report that reuses a rank shows `ms=0`, so per-suite `ms=` sums are not
+comparable with older runs.
 The orbit checks spin a span under the two generators (1 2) and
 (1 2 ... n) of the symmetric group, acting on grade-k coordinates through
 maps read from the shared colex table.
@@ -136,6 +137,11 @@ def _require_half(t: int, k: int, n: int) -> None:
 
 
 @cache
+def _matrix_rank(spec: MatrixSpec) -> int:
+    return build_matrix(spec).rank()
+
+
+@cache
 def _span_rank(t: int, k: int, n: int) -> int:
     # Rank of all total trades, spun from the first one: sigma T(x, y) is
     # +-T(sigma x, sigma y), so their span is the orbit span of any one.
@@ -165,12 +171,11 @@ def check_inclusion_rank(t: int, k: int, n: int) -> RankReport:
     """Inclusion matrix between grades t and k has full row rank C(n, t)."""
     _require_half(t, k, n)
     start = time.perf_counter()
-    computed = build_matrix(MatrixSpec.inclusion(n, t, k)).rank()
     return RankReport(
         "inclusion-rank",
         {"t": t, "k": k, "n": n},
         predicted=binomial(n, t),
-        computed=computed,
+        computed=_matrix_rank(MatrixSpec.inclusion(n, t, k)),
         elapsed_ms=_ms(start),
     )
 
@@ -206,8 +211,9 @@ def check_kernel_decomposition(t: int, k: int, n: int) -> DecompositionReport:
     """
     _require_half(t, k, n)
     start = time.perf_counter()
-    w = build_matrix(MatrixSpec.inclusion(n, t, k))
-    kernel_dim = binomial(n, k) - w.rank()
+    spec = MatrixSpec.inclusion(n, t, k)
+    w = build_matrix(spec)
+    kernel_dim = binomial(n, k) - _matrix_rank(spec)
     summands = []
     containment = []
     all_vectors = []
@@ -244,12 +250,11 @@ def check_intersection_rank(t: int, k: int, n: int, l: int) -> RankReport:
     if not 0 <= l <= t:
         raise ValueError(f"need 0 <= l <= t, got l={l}")
     start = time.perf_counter()
-    computed = build_matrix(MatrixSpec.intersection(n, t, k, l)).rank()
     return RankReport(
         "intersection-rank",
         {"t": t, "k": k, "n": n, "l": l},
         predicted=predicted_rank(t, k, n, [int(j == l) for j in range(t + 1)]),
-        computed=computed,
+        computed=_matrix_rank(MatrixSpec.intersection(n, t, k, l)),
         elapsed_ms=_ms(start),
     )
 
@@ -290,9 +295,10 @@ def check_combination_rank(
     With no explicit coefficients this runs `seeds` seeded random vectors plus
     the adversarial grid {-2,-1,1,2}^(t+1), whose sign patterns can silence
     individual isotypic blocks.  Since rank(λW) = rank(W) for λ ≠ 0, each
-    projective class of coefficient vectors is built and ranked once, from
-    its primitive integer representative; every report keeps its own
-    coefficients and prediction, and a report that reuses a rank shows ms=0.
+    matrix is specified by the primitive integer representative of its
+    projective class, so each class is built and ranked once per process;
+    every report keeps its own coefficients and prediction, and a report
+    that reuses a rank shows ms=0.
     """
     _require_half(t, k, n)
     if coeffs is not None:
@@ -301,19 +307,15 @@ def check_combination_rank(
         rng = random.Random(_seed_from("combination", t, k, n, seed))
         vectors = [_random_coeffs(rng, t) for _ in range(seeds)]
         vectors.extend(iter_product((-2, -1, 1, 2), repeat=t + 1))
-    ranks: dict[tuple[int, ...], int] = {}
     reports = []
     for cs in vectors:
         start = time.perf_counter()
-        line = _primitive(cs)
-        if line not in ranks:
-            ranks[line] = build_matrix(MatrixSpec.combination(n, t, k, line)).rank()
         reports.append(
             RankReport(
                 "combination-rank",
                 {"t": t, "k": k, "n": n, "coeffs": cs},
                 predicted=predicted_rank(t, k, n, cs),
-                computed=ranks[line],
+                computed=_matrix_rank(MatrixSpec.combination(n, t, k, _primitive(cs))),
                 elapsed_ms=_ms(start),
             )
         )

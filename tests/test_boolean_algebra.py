@@ -235,8 +235,23 @@ def test_matrix_spec_validation():
         MatrixSpec.intersection(6, 1, 2, 2)
     with pytest.raises(ValueError):
         MatrixSpec.combination(6, 1, 2, (1,))
-    with pytest.raises(ValueError):
-        MatrixSpec(4, 1, 2, "bogus")
+    with pytest.raises(ValueError, match=r"needs exactly t\+1=2 coefficients"):
+        MatrixSpec(4, 1, 2, (1, 0, 0))
+
+
+def test_inclusion_is_the_unit_vector_at_t():
+    for n in range(7):
+        for k in range(n + 1):
+            for t in range(k + 1):
+                unit = tuple(int(j == t) for j in range(t + 1))
+                specs = {
+                    MatrixSpec.inclusion(n, t, k),
+                    MatrixSpec.intersection(n, t, k, t),
+                    MatrixSpec.combination(n, t, k, unit),
+                }
+                assert len(specs) == 1
+                (spec,) = specs
+                assert spec == MatrixSpec(n, t, k, unit) and spec.coeffs == unit
 
 
 def test_build_matrix_combination():
@@ -366,11 +381,8 @@ def test_invalid_arguments_rejected():
         subset_sum(Subset(4, (1, 2)), -1)
     with pytest.raises(ValueError, match="mismatched ground sets: 3 != 4"):
         permute_element(Permutation.identity(3), BooleanElement.zero(4))
-    with pytest.raises(ValueError, match="inclusion takes neither l nor coeffs"):
-        MatrixSpec(5, 1, 2, "inclusion", l=0)
-    with pytest.raises(ValueError, match="intersection takes no coeffs"):
-        MatrixSpec(5, 1, 2, "intersection", l=0, coeffs=(1, 0))
-    with pytest.raises(ValueError, match="combination takes no l"):
-        MatrixSpec(5, 1, 2, "combination", l=0, coeffs=(1, 0))
+    for make, n in ((BooleanElement, -2), (BooleanElement.zero, -1), (BooleanElement.one, -1)):
+        with pytest.raises(ValueError, match=f"ground-set size must be nonnegative, got {n}$"):
+            make(n)
     with pytest.raises(ValueError, match=r"need exactly t\+1=2 coefficients, got 1"):
         j_set(1, 2, 5, (1,))

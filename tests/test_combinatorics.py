@@ -195,14 +195,16 @@ def test_permutation_inverse_and_transpositions():
         n = rng.randint(1, 8)
         sigma = Permutation(n, tuple(rng.sample(range(1, n + 1), n)))
         assert sigma.compose(sigma.inverse()) == Permutation.identity(n)
-    gens = Permutation.adjacent_transpositions(4)
-    assert len(gens) == 3
-    assert gens[0].images == (2, 1, 3, 4)
 
 
 def test_invalid_arguments_rejected():
     with pytest.raises(ValueError, match="ground-set size must be nonnegative"):
         Subset(-1, ())
+    with pytest.raises(ValueError, match="ground-set size must be nonnegative, got -1"):
+        Permutation(-1, ())
+    with pytest.raises(ValueError, match="ground-set size must be nonnegative, got -3"):
+        Permutation.identity(-3)
+    assert Permutation.identity(0).images == ()
     with pytest.raises(ValueError, match=r"bad transposition \(1 1\) on 1..3"):
         Permutation.transposition(3, 1, 1)
     with pytest.raises(ValueError, match="mismatched ground sets: 3 != 4"):

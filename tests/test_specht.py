@@ -319,8 +319,9 @@ def test_trade_map_errors():
     q = Tabloid(Tableau(TwoRowShape(2, 1), (1, 3), (2,)), 1)
     with pytest.raises(ValueError):
         trade_map(q, 0)  # k must exceed lambda2 - 1
-    with pytest.raises(ValueError):
-        trade_map(q, 4)  # t + k > n
+    # TradeSpec rejects t + k > n, with the same message through trade_map
+    with pytest.raises(ValueError, match=r"^need t \+ k <= n, got t=0 k=4 n=3$"):
+        trade_map(q, 4)
 
 
 def test_render_forms():

@@ -1,5 +1,8 @@
+import json
+import lzma
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -158,15 +161,36 @@ def test_combination_rank_one_matrix_per_projective_class(monkeypatch):
     builds = []
 
     def counting_build(spec):
-        builds.append(spec.kind)
+        builds.append(spec.coeffs)
         return build_matrix(spec)
 
+    verify._matrix_rank.cache_clear()
     monkeypatch.setattr(verify, "build_matrix", counting_build)
-    # the {-2,-1,1,2}^(t+1) grid has 1, 6 and 28 projective classes
+    # the {-2,-1,1,2}^(t+1) grid has 1, 6 and 28 projective classes, each
+    # built once from its primitive representative, and once per process
     for t, k, n, classes in [(0, 1, 2, 1), (1, 2, 4, 6), (2, 3, 6, 28)]:
         builds.clear()
         assert len(check_combination_rank(t, k, n, seeds=0)) == 4 ** (t + 1)
-        assert builds == ["combination"] * classes
+        assert len(builds) == len(set(builds)) == classes
+        assert all(verify._primitive(cs) == cs for cs in builds)
+        builds.clear()
+        assert len(check_combination_rank(t, k, n, seeds=0)) == 4 ** (t + 1)
+        assert builds == []
+
+
+def test_matrix_suites_rank_each_matrix_once():
+    # W_t = W(e_t) is ranked by inclusion-rank and reused by
+    # kernel-decomposition and by intersection-rank at l = t.
+    domain = list(verify._half_domain(6))
+    verify._matrix_rank.cache_clear()
+    run_suite("inclusion-rank", 6)
+    assert verify._matrix_rank.cache_info().misses == len(domain)
+    run_suite("kernel-decomposition", 6)
+    assert verify._matrix_rank.cache_info().misses == len(domain)
+    run_suite("intersection-rank", 6)
+    info = verify._matrix_rank.cache_info()
+    assert info.misses == len(domain) + sum(t for t, _, _ in domain)
+    assert info.hits == 2 * len(domain)
 
 
 def test_basis_corollary_examples():
@@ -402,6 +426,27 @@ def test_render_reports_summary_and_verdict():
     lines = text.strip().splitlines()
     assert lines[-1] == f"TOTAL pass={len(reports)}/{len(reports)}"
     assert all(LINE_RE.match(ln) for ln in lines[:-1])
+
+
+def _compared_fields(line):
+    # claim, params, predicted, computed and pass of a CHECK line (ms= and
+    # any other field dropped), and the pass count of the TOTAL line.
+    tokens = line.split()
+    if tokens[0] == "TOTAL":
+        return line
+    keep = ("params=", "predicted=", "computed=", "pass=")
+    return " ".join(tokens[:2] + [tok for tok in tokens[2:] if tok.startswith(keep)])
+
+
+def test_verify_all_matches_the_recorded_reports():
+    # The benchmark's reference reports of `verify all --n-max 8 --seed 0`.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "verify-all.json.xz"
+    with lzma.open(path, "rt", encoding="utf-8") as fh:
+        golden = json.load(fh)["0"]
+    text, ok = render_reports(run_suite("all", 8, 0))
+    assert [_compared_fields(ln) for ln in text.splitlines()] == golden["lines"]
+    assert golden["lines"][-1] == "TOTAL pass=1689/1737"
+    assert (0 if ok else 1) == golden["exit"] == 1
 
 
 def test_run_suite_deterministic_order():
