@@ -7,13 +7,16 @@ elements built by `garnir` span the relations that present the irreducible
 two-row representation as a quotient, and `straighten` rewrites any tabloid
 expression into the standard-filling basis with integer coefficients.
 
-`garnir` and `straighten` share one routine for the column exchanges and one
-column sort.  Straightening runs on raw `(row1, row2)` tuples and builds
-validated `Tableau` objects only for its output terms.
+Straightening keeps raw `(row1, row2)` tuples in canonical form: height-2
+columns sorted and ordered by top entry, the tail sorted.  A row-2 descent or
+the last top above the first tail entry is left, for a column exchange shared
+with `garnir`.  Each rewrite strictly lowers the key (row 2 and the tops as
+bitmasks, then row 2), so a heap pass ends without recursion; `fuel` guards it.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -193,12 +196,8 @@ class TabloidExpr:
             raise ValueError("mixed shapes in one tabloid expression")
         out = dict(self._terms)
         for t, c in other._terms.items():
-            v = out.get(t, 0) + c
-            if v:
-                out[t] = v
-            else:
-                out.pop(t, None)
-        return TabloidExpr._make(out)
+            out[t] = out.get(t, 0) + c
+        return TabloidExpr._make({t: c for t, c in out.items() if c})
 
     def __sub__(self, other: TabloidExpr) -> TabloidExpr:
         return self + (-other)
@@ -265,66 +264,67 @@ def garnir(u: Tableau, c: int) -> TabloidExpr:
     return TabloidExpr(terms)
 
 
-def _leftmost_violation(rows: Rows) -> tuple[int, int] | None:
-    # Returns (column c, offending row) for the leftmost descent of
-    # column-sorted rows, or None when they form a standard filling.
+def _canonical(rows: Rows) -> tuple[Rows, int]:
+    # The relations with coefficient one: sort each height-2 column (a sign
+    # per swap), order those columns by top entry and sort the tail.
+    (r1, r2), sign = _sort_columns(rows)
+    columns = sorted(zip(r1, r2))
+    tops = tuple(x for x, _ in columns) + tuple(sorted(r1[len(r2) :]))
+    return (tops, tuple(y for _, y in columns)), sign
+
+
+def _rewrite(rows: Rows) -> list[Rows] | None:
+    # The raw fillings that canonical rows rewrite to; None when standard.
     r1, r2 = rows
-    lambda2 = len(r2)
-    for c in range(1, len(r1)):
-        if r1[c - 1] > r1[c]:
-            return c, 1
-        if c < lambda2 and r2[c - 1] > r2[c]:
-            return c, 2
+    m = len(r2)
+    for c in range(1, m):
+        if r2[c - 1] > r2[c]:
+            return _exchanges(rows, c, 2)
+    if 0 < m < len(r1) and r1[m - 1] > r1[m]:
+        return _exchanges(rows, m, 1)
     return None
 
 
 def straighten(e: TabloidExpr, fuel: int = 10**6) -> TabloidExpr:
     """Rewrite an expression modulo the adjacent-column relations until every
-    surviving tabloid is standard.
+    surviving tabloid is standard; integer inputs give integer outputs.
 
-    Integer inputs produce integer outputs.  The fuel counter bounds the
-    number of rewrites; exhausting it signals a non-termination bug and is
-    never expected.
+    One heap pass over canonical tabloids, largest key first, expands each
+    once with its incoming coefficients merged.  `fuel` bounds non-standard
+    input terms plus rewrites; the key ends the pass, so running out is a bug.
     """
-    memo: dict[Rows, dict[Rows, Scalar]] = {}
-    budget = fuel
+    pending: dict[Rows, Scalar] = {}
+    heap: list = []
 
-    def expand(rows: Rows) -> dict[Rows, Scalar]:
-        nonlocal budget
-        hit = memo.get(rows)
-        if hit is not None:
-            return hit
-        violation = _leftmost_violation(rows)
-        if violation is None:
-            result = {rows: 1}
-            memo[rows] = result
-            return result
-        if budget <= 0:
-            raise RuntimeError("straightening fuel exhausted")
-        budget -= 1
-        acc: dict[Rows, Scalar] = {}
-        for raw in _exchanges(rows, *violation):
-            sorted_rows, sgn = _sort_columns(raw)
-            for std, coeff in expand(sorted_rows).items():
-                v = acc.get(std, 0) + sgn * coeff
-                if v:
-                    acc[std] = v
-                else:
-                    acc.pop(std, None)
-        memo[rows] = acc
-        return acc
+    def push(raw: Rows, coeff: Scalar) -> None:
+        rows, sign = _canonical(raw)
+        if rows not in pending:
+            pending[rows] = 0
+            # The key (see the module docstring), negated for the min-heap.
+            r1, r2 = rows
+            bits1, bits2 = sum(1 << x for x in r1[: len(r2)]), sum(1 << y for y in r2)
+            heapq.heappush(heap, ((-bits2, -bits1, [-y for y in r2]), rows))
+        pending[rows] += sign * coeff
 
-    out: dict[Rows, Scalar] = {}
     shape = None
     for tab, coeff in e.terms():
         shape = tab.shape
-        for std, unit in expand((tab.row1, tab.row2)).items():
-            v = out.get(std, 0) + coeff * unit
-            if v:
-                out[std] = v
-            else:
-                out.pop(std, None)
-    return TabloidExpr._make({Tableau(shape, r1, r2): c for (r1, r2), c in out.items()})
+        fuel -= not is_standard(tab)
+        push((tab.row1, tab.row2), coeff)
+    out: dict[Tableau, Scalar] = {}
+    while fuel >= 0 and heap:
+        rows = heapq.heappop(heap)[1]
+        coeff = pending.pop(rows)
+        children = _rewrite(rows) if coeff else ()
+        if children is None:
+            out[Tableau(shape, *rows)] = coeff
+        elif children:
+            fuel -= 1
+            for raw in children:
+                push(raw, coeff)
+    if fuel < 0:
+        raise RuntimeError("straightening fuel exhausted")
+    return TabloidExpr._make(out)
 
 
 def trade_map(q: Tabloid, k: int) -> BooleanElement:

@@ -244,11 +244,10 @@ def check_kernel_decomposition(t: int, k: int, n: int) -> DecompositionReport:
 
 
 def check_intersection_rank(t: int, k: int, n: int, l: int) -> RankReport:
-    """Rank of the single intersection matrix at overlap l matches the prediction."""
+    """Rank of the single intersection matrix at overlap l matches the prediction;
+    `MatrixSpec.intersection` rejects l outside 0..t."""
     if not (0 <= t <= k and 2 * k <= n):
         raise ValueError(f"need t <= k <= n/2, got t={t} k={k} n={n}")
-    if not 0 <= l <= t:
-        raise ValueError(f"need 0 <= l <= t, got l={l}")
     start = time.perf_counter()
     return RankReport(
         "intersection-rank",

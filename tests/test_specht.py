@@ -27,6 +27,7 @@ from tradekit.specht import (
     straighten,
     young_rule,
 )
+from tradekit.specht import _canonical, _rewrite
 from tradekit.trades import TradeSpec, total_trade
 
 
@@ -249,33 +250,64 @@ def test_straighten_consistent_with_trade_map_sampled():
 
 @st.composite
 def _filling_and_column(draw):
-    # A two-row filling with 2 <= n <= 9 and a Garnir column, when it has one.
+    # A two-row filling with 2 <= n <= 9, a Garnir column when it has one, and
+    # the same filling with its height-2 columns and its tail entries permuted.
     n = draw(st.integers(2, 9))
     lambda2 = draw(st.integers(1, n // 2))
     perm = draw(st.permutations(range(1, n + 1)))
     shape = TwoRowShape(n - lambda2, lambda2)
     u = Tableau(shape, tuple(perm[: shape.lambda1]), tuple(perm[shape.lambda1 :]))
     c = draw(st.integers(1, shape.lambda1 - 1)) if shape.lambda1 > 1 else None
-    return u, c
+    cols = draw(st.permutations(range(lambda2)))
+    tail = draw(st.permutations(range(lambda2, shape.lambda1)))
+    v = Tableau(
+        shape,
+        tuple(u.row1[i] for i in list(cols) + list(tail)),
+        tuple(u.row2[i] for i in cols),
+    )
+    return u, c, v
 
 
 @settings(derandomize=True, deadline=None, max_examples=100, database=None)
 @given(_filling_and_column())
 def test_straighten_kills_garnir_and_keeps_trade_map(case):
-    u, c = case
+    u, c, v = case
     n, k = u.shape.n, u.shape.lambda2
     if c is not None:
         assert straighten(garnir(u, c)).is_zero
     out = straighten(TabloidExpr([(u, 1)]))
     rhs = BooleanElement.zero(n) if out.is_zero else trade_map_expr(out, k)
     assert trade_map(canonicalize(u), k) == rhs
+    # moving whole columns of equal height is a relation with coefficient one
+    assert straighten(TabloidExpr([(v, 1)])) == out
 
 
-@pytest.mark.parametrize("lambda2", [1, 2])
+def _key(rows):
+    # Row 2 as a bitmask, the tops as a bitmask, then row 2 lexicographically.
+    r1, r2 = rows
+    return sum(1 << y for y in r2), sum(1 << x for x in r1[: len(r2)]), r2
+
+
+def test_straighten_rewrites_lower_the_key():
+    # The termination argument of straighten: the rewrite of every canonical
+    # non-standard filling only reaches canonical fillings of lower key.
+    rewrites = 0
+    for n in range(2, 8):
+        for shape in two_row_shapes(n):
+            canonical = {_canonical((u.row1, u.row2))[0] for u in all_tableaux(shape)}
+            for rows in canonical:
+                children = _rewrite(rows)
+                assert (children is None) == is_standard(Tableau(shape, *rows))
+                for raw in children or ():
+                    assert _key(_canonical(raw)[0]) < _key(rows)
+                    rewrites += 1
+    assert rewrites > 0
+
+
+@pytest.mark.parametrize("lambda2", [1, 2, 3])
 def test_straighten_long_reversed_filling(lambda2):
-    # Straightening takes one stack frame per rewrite, so these n = 40
-    # near-hooks fit under the default recursion limit; do not raise it here.
-    n = 40
+    # Runs at the default recursion limit; do not raise it here.
+    n = 200
     xs = tuple(range(n, 0, -1))
     u = Tableau(TwoRowShape(n - lambda2, lambda2), xs[: n - lambda2], xs[n - lambda2 :])
     e = TabloidExpr([(u, 1)])
