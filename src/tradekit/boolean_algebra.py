@@ -262,9 +262,16 @@ def _mask(elements: tuple[int, ...]) -> int:
     return m
 
 
+_MAX_CELLS = 1 << 24  # the largest matrix verify builds at n = 10 has 52920 cells
+
+
 def build_matrix(spec: MatrixSpec) -> RationalMatrix:
     """Incidence matrix with C(n,t) rows and C(n,k) columns in colex order:
-    the cell of t-set A and k-set B holds c_l, where l = |A ∩ B|."""
+    the cell of t-set A and k-set B holds c_l, where l = |A ∩ B|.  A matrix
+    of more than 2^24 cells raises ValueError before any subset is listed."""
+    nrows, ncols = binomial(spec.n, spec.t), binomial(spec.n, spec.k)
+    if nrows * ncols > _MAX_CELLS:
+        raise ValueError(f"{nrows}x{ncols} matrix exceeds the limit of {_MAX_CELLS} cells")
     row_masks = [_mask(s) for s in colex_index(spec.t, spec.n)]
     col_masks = [_mask(s) for s in colex_index(spec.k, spec.n)]
     coeffs = spec.coeffs

@@ -9,10 +9,14 @@ routine, `IntegerEchelon`, a sparse fraction-free elimination: each vector
 is cleared to integers once (this preserves rank), stored rows are sparse
 coprime integer rows, and a row operation touches only the nonzero entries
 of the stored row.  `rank_of_columns` (and so `RationalMatrix.rank`) first
-tries a private full-rank certificate: integer vectors that are independent
-modulo the prime 65521 are independent over the rationals, since a maximal
-minor that is nonzero mod p is a nonzero integer.  It answers only "full
-rank", never a smaller rank, and everything else goes to `IntegerEchelon`.
+tries a private certificate: integer vectors that are independent modulo the
+prime 65521 are independent over the rationals, since a maximal minor that
+is nonzero mod p is a nonzero integer.  Alone it answers only "full rank".
+A caller that has proved an upper bound on the rank passes it as `ceiling`;
+then the certificate skips vectors that are dependent mod p and answers as
+soon as `ceiling` of them are independent, since
+rank_Q >= rank_p = ceiling >= rank_Q.  Everything else goes to
+`IntegerEchelon`.
 The plain rational reduction that the rank is tested against lives with the
 tests, not here.
 `render_signed_sum` is the one signed-sum text form, used for boolean
@@ -173,12 +177,20 @@ def _pack(v: Sequence[int]) -> int:
     return int.from_bytes(array("Q", [x % _P for x in v]).tobytes(), sys.byteorder)
 
 
-def _independent_mod_p(vectors: Iterator[Sequence], seen: list) -> bool:
-    """True iff every vector of `vectors` is an integer vector and they are
-    linearly independent modulo `_P`.  Each consumed vector is appended to
-    `seen`; on False the iterator stops at the first vector that is not an
-    integer vector of the first one's length, that reduces to zero mod `_P`,
-    or that is one past the dimension.
+def _independent_mod_p(
+    vectors: Iterator[Sequence], seen: list, ceiling: int | None = None
+) -> int | None:
+    """The rank of `vectors` when independence modulo `_P` settles it, else
+    None.  Each consumed vector is appended to `seen`.
+
+    With no ceiling the rank is settled only when every vector is an integer
+    vector and they are independent mod `_P`; the iterator stops at the first
+    vector that is not an integer vector of the first one's length, that
+    reduces to zero mod `_P`, or that is one past the dimension.  With a
+    ceiling a vector that reduces to zero is skipped, and the answer comes as
+    soon as `ceiling` vectors are independent, before the next one is pulled;
+    if the vectors run out first, the rank is settled only when none was
+    skipped.
 
     Each vector is one int with a `_SLOT`-bit slot per coordinate.  A
     stored row has entries in [0, p) with 1 at its pivot and 0 at every
@@ -195,8 +207,10 @@ def _independent_mod_p(vectors: Iterator[Sequence], seen: list) -> bool:
         seen.append(v)
         if dim is None:
             dim = len(v)
-        if len(seen) > dim or len(v) != dim or any(type(x) is not int for x in v):
-            return False
+        if len(v) != dim or any(type(x) is not int for x in v):
+            return None
+        if ceiling is None and len(seen) > dim:
+            return None
         w = _pack(v)
         for shift, row in rows:
             c = ((w >> shift) & mask) % _P
@@ -206,27 +220,43 @@ def _independent_mod_p(vectors: Iterator[Sequence], seen: list) -> bool:
         slots = [x % _P for x in memoryview(packed).cast("Q")]
         pivot = next((j for j, x in enumerate(slots) if x), None)
         if pivot is None:
-            return False
+            if ceiling is None:
+                return None
+            continue
         inv = pow(slots[pivot], -1, _P)
         shift = _SLOT * (pivot if sys.byteorder == "little" else dim - 1 - pivot)
         rows.append((shift, _pack([x * inv for x in slots])))
-    return True
+        if len(rows) == ceiling:
+            return ceiling
+    return len(rows) if len(rows) == len(seen) else None
 
 
-def rank_of_columns(vectors: Iterable[Sequence]) -> int:
+def rank_of_columns(vectors: Iterable[Sequence], *, ceiling: int | None = None) -> int:
     """Rank of the matrix whose columns are the given vectors.
 
-    A full-rank certificate modulo the prime p = 65521 answers first: if the
-    vectors are integer vectors independent mod p, some maximal minor of
-    their matrix is nonzero mod p, hence nonzero over Z, and the rank is
-    their number.  The certificate answers only "full rank"; in every other
-    case the vectors it consumed and the rest of the iterable go to
-    `IntegerEchelon`, which computes the rank exactly.
+    A certificate modulo the prime p = 65521 answers first: integer vectors
+    that are independent mod p have a maximal minor that is nonzero mod p,
+    hence nonzero over Z, so they are independent.  With no ceiling it
+    answers only when all the vectors are independent mod p.
+
+    `ceiling` is an upper bound on the rank that the caller has proved; a
+    wrong one gives a wrong rank.  With it, vectors that are dependent mod p
+    are skipped, and the answer is `ceiling` as soon as that many vectors
+    are independent mod p (rank_Q >= rank_p = ceiling >= rank_Q); the
+    vectors after them are never pulled, and a ceiling of 0 answers 0 at
+    once.  In every case the certificate does not settle, the vectors it
+    consumed and the rest of the iterable go to `IntegerEchelon`, which
+    computes the rank exactly.
     """
+    if ceiling is not None and ceiling < 0:
+        raise ValueError(f"ceiling must be nonnegative, got {ceiling}")
+    if ceiling == 0:
+        return 0
     it = iter(vectors)
     seen: list = []
-    if _independent_mod_p(it, seen):
-        return len(seen)
+    rank = _independent_mod_p(it, seen, ceiling)
+    if rank is not None:
+        return rank
     ech = IntegerEchelon(len(seen[0]))
     for v in chain(seen, it):
         ech.add(v)

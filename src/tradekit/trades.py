@@ -190,6 +190,7 @@ def total_trade_basis(t: int, k: int, n: int) -> list[tuple[TradeSpec, BooleanEl
     list down to exactly C(n,t+1) - C(n,t) independent trades.  On the
     boundary t + k = n, k >= t + 2 the list keeps that length but every
     trade in it is zero: the ground set is one element short of a tail.
+    At n = 2t + 1, k = t + 1 there is no spec and the list is empty.
     """
     from .specht import TwoRowShape, standard_tableaux
 
@@ -197,6 +198,8 @@ def total_trade_basis(t: int, k: int, n: int) -> list[tuple[TradeSpec, BooleanEl
         raise ValueError(f"need 0 <= t < k, got t={t} k={k}")
     if t + k > n:
         raise ValueError(f"need t + k <= n, got t={t} k={k} n={n}")
+    if n == 2 * t + 1:
+        return []
     shape = TwoRowShape(n - t - 1, t + 1)
     out = []
     for tab in standard_tableaux(shape):

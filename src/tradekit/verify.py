@@ -12,11 +12,15 @@ of each distinct `MatrixSpec`, shared between `inclusion-rank`,
 `kernel-decomposition`, `intersection-rank` and `combination-rank` (W_t is
 ranked once for the first three).  The span rank is the orbit span of one
 total trade, which the symmetric group carries onto every other up to sign.
+Every literal trade is a total trade, so the literal rank is certified
+modulo p up to the span rank as a ceiling and stops there.
 A report that reuses a rank shows `ms=0`, so per-suite `ms=` sums are not
 comparable with older runs.
 The orbit checks spin a span under the two generators (1 2) and
 (1 2 ... n) of the symmetric group, acting on grade-k coordinates through
-maps read from the shared colex table.
+maps read from the shared colex table.  That span is invariant, so it holds
+a whole total-trade stratum exactly when it holds one total trade of it,
+and each stratum is tested with one trade.
 """
 
 from __future__ import annotations
@@ -141,21 +145,29 @@ def _matrix_rank(spec: MatrixSpec) -> int:
     return build_matrix(spec).rank()
 
 
+def _first_total_trade(t: int, k: int, n: int) -> BooleanElement:
+    # The total trade of the first spec, zero when n = 2t + 1, k = t + 1
+    # leaves no spec; total_trade_specs rejects t >= k and t + k > n.
+    # sigma T(x, y) is +-T(sigma x, sigma y) and S_n is transitive on the
+    # specs, so any S_n-invariant span that holds this trade holds them all.
+    spec = next(total_trade_specs(t, k, n), None)
+    return BooleanElement.zero(n) if spec is None else total_trade(spec)
+
+
 @cache
 def _span_rank(t: int, k: int, n: int) -> int:
-    # Rank of all total trades, spun from the first one: sigma T(x, y) is
-    # +-T(sigma x, sigma y), so their span is the orbit span of any one.
-    # total_trade_specs rejects t >= k and t + k > n, and yields no spec
-    # when n = 2t + 1, k = t + 1.
-    spec = next(total_trade_specs(t, k, n), None)
-    return 0 if spec is None else orbit_span(total_trade(spec), k).rank
+    # Rank of all total trades: the orbit span of the first one.
+    return orbit_span(_first_total_trade(t, k, n), k).rank
 
 
 @cache
 def _literal_rank(t: int, k: int, n: int) -> tuple[int, int]:
-    # (cardinality, rank) of the literal three-condition set.
+    # (cardinality, rank) of the literal three-condition set.  Every literal
+    # trade is a total trade, so the span rank bounds the rank, and the
+    # vectors past the first span-rank many independent ones are never built.
     literal = literal_basis_specs(t, k, n)
-    return len(literal), rank_of_columns(element_to_vector(total_trade(s), k) for s in literal)
+    vectors = (element_to_vector(total_trade(s), k) for s in literal)
+    return len(literal), rank_of_columns(vectors, ceiling=_span_rank(t, k, n))
 
 
 def _strata_dim(strata: Iterable[int], n: int) -> int:
@@ -412,8 +424,10 @@ def orbit_span(e: BooleanElement, k: int) -> IntegerEchelon:
 def orbit_decomposition(e: BooleanElement, t: int) -> set[int]:
     """Strata indices i with the whole total-trade stratum inside the orbit span.
 
-    Also asserts that the strata found account exactly for the span's
-    dimension; a mismatch raises VerificationError.
+    The orbit span is S_n-invariant, so it holds the whole stratum i exactly
+    when it holds one total trade of it, the first spec's.  Also asserts
+    that the strata found account exactly for the span's dimension; a
+    mismatch raises VerificationError.
     """
     if e.is_zero:
         raise ValueError("the zero element has no orbit decomposition")
@@ -423,7 +437,9 @@ def orbit_decomposition(e: BooleanElement, t: int) -> set[int]:
     if not is_t_trade(e, t):
         raise ValueError(f"element is not a {t}-trade")
     ech = orbit_span(e, k)
-    strata = {i for i in range(t, k) if all(ech.contains(v) for v in _basis_vectors(i, k, n))}
+    strata = {
+        i for i in range(t, k) if ech.contains(element_to_vector(_first_total_trade(i, k, n), k))
+    }
     total = _strata_dim(strata, n)
     if ech.rank != total:
         raise VerificationError(

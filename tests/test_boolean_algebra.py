@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linalg_reference import transpose
+from tradekit import boolean_algebra
 from tradekit.boolean_algebra import (
     BooleanElement,
     MatrixSpec,
@@ -226,6 +227,14 @@ def test_intersection_row_and_column_sums_constant():
                     # the j=0 coefficient is the constant column sum
                     col_sums = {sum(row) for row in transpose(m).rows()}
                     assert col_sums == {lambda_coeff(t, k, n, l, 0)}
+
+
+def test_build_matrix_cell_limit(monkeypatch):
+    # more than 2^24 cells raises before colex_index is read
+    monkeypatch.setattr(boolean_algebra, "colex_index", None)
+    for n, k, ncols in ((27, 13, 20058300), (40, 20, 137846528820)):
+        with pytest.raises(ValueError, match=f"1x{ncols} matrix exceeds the limit of 16777216"):
+            build_matrix(MatrixSpec.inclusion(n, 0, k))
 
 
 def test_matrix_spec_validation():

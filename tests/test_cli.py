@@ -175,6 +175,19 @@ def test_basis_command(capsys):
     assert out == "xs=[1] ys=[3] | {1} - {3}\nxs=[1] ys=[2] | {1} - {2}\n"
 
 
+def test_basis_command_empty_at_n_2t_plus_1(capsys):
+    code, out, err = run_cli(capsys, "basis", "--n", "3", "--t", "1", "--k", "2")
+    assert (code, out, err) == (0, "", "")
+
+
+def test_matrix_too_large_exits_2(capsys):
+    # C(40, 20) columns: refused before any subset is listed
+    code, out, err = run_cli(
+        capsys, "matrix", "--kind", "inclusion", "--n", "40", "--t", "0", "--k", "20"
+    )
+    assert code == 2 and out == "" and "exceeds the limit of 16777216 cells" in err
+
+
 def test_verify_command_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "inclusion-rank", "--n-max", "6")
     assert code == 0

@@ -113,6 +113,56 @@ def test_full_rank_certificate_answers_alone(add_calls):
     assert len(add_calls) == 2
 
 
+def test_ceiling_reached_answers_alone(add_calls):
+    # the third vector is dependent; the ceiling is reached at the fourth,
+    # and the vectors after it are never pulled
+    pulled = []
+
+    def vectors():
+        for v in [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 2, 3), (4, 5, 6)]:
+            pulled.append(v)
+            yield v
+
+    assert rank_of_columns(vectors(), ceiling=3) == 3
+    assert len(pulled) == 4
+    assert add_calls == []
+
+
+def test_ceiling_not_reached_falls_back_to_exact(add_calls):
+    # (0, 65521) is zero mod p but not over Q: the certificate skips it,
+    # stops one short of the ceiling, and the exact elimination finds 2
+    assert rank_of_columns([(1, 0), (0, 65521)], ceiling=2) == 2
+    assert len(add_calls) == 2
+
+
+def test_ceiling_above_the_rank_gives_the_exact_rank():
+    rng = random.Random(7)
+    for rank in range(5):
+        basis = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(rank)]
+        vectors = []
+        for _ in range(7):
+            cs = [rng.randint(-2, 2) for _ in basis]
+            vectors.append(tuple(sum(c * b[j] for c, b in zip(cs, basis)) for j in range(6)))
+        exact_rank = 6 - len(kernel_basis(RationalMatrix(vectors)))
+        assert exact_rank <= rank
+        for ceiling in range(exact_rank, 8):
+            assert rank_of_columns(vectors, ceiling=ceiling) == exact_rank
+    # independent vectors below the ceiling: settled by the certificate
+    assert rank_of_columns([(1, 0, 0), (0, 1, 0)], ceiling=3) == 2
+    assert rank_of_columns([], ceiling=2) == 0
+    assert rank_of_columns([(Fraction(1, 2), 0), (0, 1)], ceiling=5) == 2
+
+
+def test_ceiling_zero_answers_zero_at_once():
+    def never():
+        raise AssertionError("pulled a vector")
+        yield
+
+    assert rank_of_columns(never(), ceiling=0) == 0
+    with pytest.raises(ValueError, match="ceiling must be nonnegative"):
+        rank_of_columns([(1,)], ceiling=-1)
+
+
 def test_rank_of_columns_permutation_invariant():
     rng = random.Random(5)
     vectors = [tuple(rng.randint(-4, 4) for _ in range(6)) for _ in range(8)]

@@ -307,10 +307,18 @@ def test_total_trade_basis_spans_and_is_independent():
 
 
 def test_total_trade_basis_shape_errors():
-    with pytest.raises(ValueError):
-        total_trade_basis(2, 3, 5)  # second row longer than first
+    with pytest.raises(ValueError, match=r"need t \+ k <= n"):
+        total_trade_basis(2, 3, 4)
     with pytest.raises(ValueError):
         total_trade_basis(1, 1, 5)  # t = k
+
+
+def test_total_trade_basis_empty_at_n_2t_plus_1():
+    # (t, t+1, 2t+1): t+1 disjoint pairs need 2t+2 elements, so there is no
+    # spec, and the dimension C(n, t+1) - C(n, t) is 0
+    for t in range(4):
+        assert total_trade_basis(t, t + 1, 2 * t + 1) == []
+        assert binomial(2 * t + 1, t + 1) - binomial(2 * t + 1, t) == 0
 
 
 def test_render_spec():

@@ -18,7 +18,13 @@ from tradekit.boolean_algebra import (
 )
 from tradekit.combinatorics import Permutation, binomial, colex_rank, colex_tuples
 from tradekit.linalg import IntegerEchelon, RationalMatrix, rank_of_columns
-from tradekit.trades import TradeSpec, all_total_trades, minimal_trade, total_trade
+from tradekit.trades import (
+    TradeSpec,
+    all_total_trades,
+    minimal_trade,
+    total_trade,
+    total_trade_basis,
+)
 from tradekit.verify import (
     check_trade_basis,
     check_combination_rank,
@@ -239,6 +245,18 @@ def test_span_rank_spins_one_trade(add_calls):
     assert 0 < len(add_calls) <= 2 * rank + 1
 
 
+def test_literal_rank_stops_at_the_span_rank(add_calls):
+    # Every literal trade is a total trade, so the span rank bounds the
+    # literal rank: once 48 literal trades are independent mod p the rank is
+    # in, with no exact elimination.
+    span = verify._span_rank(2, 3, 9)
+    verify._literal_rank.cache_clear()
+    add_calls.clear()
+    assert verify._literal_rank(2, 3, 9) == (len(literal_basis_specs(2, 3, 9)), span)
+    assert span == binomial(9, 3) - binomial(9, 2)
+    assert add_calls == []
+
+
 def test_total_trade_dim_rejects_bad_tuples_on_every_call():
     for args in [(2, 1, 5), (2, 3, 4)]:
         for _ in range(2):
@@ -342,6 +360,30 @@ def test_orbit_decomposition_witnesses():
     assert orbit_decomposition(mixed, 0) == {0, 1}
 
 
+def test_orbit_decomposition_matches_basis_containment():
+    # One total trade per stratum decides containment; the reference tests
+    # every standard-basis trade of every stratum against the same span.
+    for t, k, n in verify._half_domain(8):
+        rng = random.Random(f"witness {t} {k} {n}")
+        witnesses = [
+            total_trade(verify._random_total_spec(rng, t, k, n)),
+            minimal_trade(verify._random_minimal_spec(rng, t, k, n)),
+        ]
+        if k >= t + 2:
+            witnesses.append(
+                total_trade(verify._random_total_spec(rng, t, k, n))
+                + total_trade(verify._random_total_spec(rng, t + 1, k, n))
+            )
+        for e in witnesses:
+            ech = orbit_span(e, k)
+            reference = {
+                i
+                for i in range(t, k)
+                if all(ech.contains(element_to_vector(b, k)) for _, b in total_trade_basis(i, k, n))
+            }
+            assert orbit_decomposition(e, t) == reference, (t, k, n)
+
+
 def test_orbit_decomposition_rejects_non_trades():
     not_a_trade = BooleanElement(6, [((1, 2), 1)])
     with pytest.raises(ValueError):
@@ -351,9 +393,10 @@ def test_orbit_decomposition_rejects_non_trades():
 
 
 def test_orbit_decomposition_guard_catches_unaccounted_rank(monkeypatch):
-    # With no stratum vectors every stratum counts as contained, so the
-    # strata total C(7,3) - 1 exceeds the total trade's orbit rank 6.
-    monkeypatch.setattr(verify, "_basis_vectors", lambda i, k, n: [])
+    # With a zero trade standing for each stratum every stratum counts as
+    # contained, so the strata total C(7,3) - 1 exceeds the total trade's
+    # orbit rank 6.
+    monkeypatch.setattr(verify, "_first_total_trade", lambda i, k, n: BooleanElement.zero(n))
     e = total_trade(TradeSpec(7, 0, 3, (1,), (2,)))
     with pytest.raises(verify.VerificationError, match=r"orbit span dimension 6 != 34"):
         orbit_decomposition(e, 0)
