@@ -8,23 +8,19 @@ from .boolean_algebra import (
     build_matrix,
     element_to_vector,
     deletion_sum,
-    grade,
     j_set,
     lambda_coeff,
     permute_element,
     predicted_rank,
-    product,
     render_element,
     subset_sum,
 )
 from .combinatorics import (
     Permutation,
     Subset,
-    apply_permutation,
     binomial,
     colex_rank,
     colex_unrank,
-    intersection_size,
     subsets_iter,
 )
 from .linalg import (
@@ -32,7 +28,6 @@ from .linalg import (
     RationalMatrix,
     Vector,
     in_span,
-    parse_matrix,
     rank_of_columns,
     render_dense,
     render_sparse,
@@ -57,7 +52,6 @@ from .trades import (
     all_total_trades,
     is_t_trade,
     minimal_trade,
-    normalized,
     permute_spec,
     total_trade,
     total_trade_basis,

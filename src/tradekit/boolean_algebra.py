@@ -145,16 +145,6 @@ class BooleanElement:
         return f"BooleanElement({self.n}, {render_element(self)})"
 
 
-def product(a: BooleanElement, b: BooleanElement) -> BooleanElement:
-    """Union-product: coefficients of coinciding unions accumulate."""
-    return a * b
-
-
-def grade(e: BooleanElement, m: int) -> BooleanElement:
-    """Restriction of e to terms whose subset has exactly m elements."""
-    return BooleanElement._make(e.n, {s: c for s, c in e._terms.items() if len(s) == m})
-
-
 def subset_sum(subset: Subset, m: int) -> BooleanElement:
     """Sum of all m-subsets of the given set, each with coefficient 1.
 
@@ -242,7 +232,7 @@ class MatrixSpec:
     @classmethod
     def inclusion(cls, n: int, t: int, k: int) -> MatrixSpec:
         # |A ∩ B| = t iff A ⊆ B for a t-set A.
-        return cls(n, t, k, tuple(int(j == t) for j in range(t + 1)))
+        return cls.intersection(n, t, k, t)
 
     @classmethod
     def intersection(cls, n: int, t: int, k: int, l: int) -> MatrixSpec:

@@ -107,13 +107,6 @@ def subsets_iter(k: int, n: int) -> Iterator[Subset]:
         yield Subset(n, elems)
 
 
-def intersection_size(a: Subset, b: Subset) -> int:
-    """|a ∩ b| for two subsets of the same ground set."""
-    if a.n != b.n:
-        raise ValueError(f"mismatched ground sets: {a.n} != {b.n}")
-    return len(set(a.elements) & set(b.elements))
-
-
 @dataclass(frozen=True)
 class Permutation:
     """A permutation of {1..n} given by its tuple of images (sigma(1), ..., sigma(n))."""
@@ -155,10 +148,3 @@ class Permutation:
         for i, img in enumerate(self.images, start=1):
             inv[img - 1] = i
         return Permutation(self.n, tuple(inv))
-
-
-def apply_permutation(sigma: Permutation, s: Subset) -> Subset:
-    """The image {sigma(x) : x in s}, re-sorted."""
-    if sigma.n != s.n:
-        raise ValueError(f"mismatched ground sets: {sigma.n} != {s.n}")
-    return Subset(s.n, tuple(sorted(sigma(x) for x in s.elements)))

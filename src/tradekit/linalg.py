@@ -19,8 +19,9 @@ rank_Q >= rank_p = ceiling >= rank_Q.  Everything else goes to
 `IntegerEchelon`.
 The plain rational reduction that the rank is tested against lives with the
 tests, not here.
-`render_signed_sum` is the one signed-sum text form, used for boolean
-elements and tabloid expressions alike.
+Text is output only: `render_dense` and `render_sparse` write the two matrix
+forms of `tradekit matrix`, and `render_signed_sum` is the one signed-sum
+form, used for boolean elements and tabloid expressions alike.
 """
 
 from __future__ import annotations
@@ -62,10 +63,6 @@ class RationalMatrix:
         self.nrows = len(data)
         self.ncols = ncols
         self._rows = data
-
-    @classmethod
-    def identity(cls, n: int) -> RationalMatrix:
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -305,45 +302,3 @@ def render_signed_sum(terms: Iterable[tuple[str, Scalar]]) -> str:
         else:
             parts.append(f"-{txt}" if c < 0 else txt)
     return "".join(parts) or "0"
-
-
-def _parse_scalar(tok: str) -> Scalar:
-    """One matrix-text entry: an int when integral, else a Fraction."""
-    try:
-        x = Fraction(tok)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in entry {tok!r}") from None
-    return x.numerator if x.denominator == 1 else x
-
-
-def parse_matrix(text: str) -> RationalMatrix:
-    """Parse either matrix text form (dense: 2 header fields, sparse: 3)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty matrix text")
-    header = lines[0].split()
-    if len(header) in (2, 3) and any(int(field) < 0 for field in header):
-        raise ValueError(f"negative count in matrix header: {lines[0]!r}")
-    if len(header) == 2:
-        nrows, ncols = map(int, header)
-        if len(lines) != nrows + 1:
-            raise ValueError(f"expected {nrows} rows, got {len(lines) - 1}")
-        rows = [[_parse_scalar(tok) for tok in ln.split()] for ln in lines[1:]]
-        return RationalMatrix(rows, ncols)  # rejects a row of the wrong length
-    if len(header) == 3:
-        nrows, ncols, nnz = map(int, header)
-        if len(lines) != nnz + 1:
-            raise ValueError(f"expected {nnz} triples, got {len(lines) - 1}")
-        rows = [[0] * ncols for _ in range(nrows)]
-        seen = set()
-        for ln in lines[1:]:
-            si, sj, sval = ln.split()
-            i, j = int(si) - 1, int(sj) - 1
-            if not (0 <= i < nrows and 0 <= j < ncols):
-                raise ValueError(f"index ({si}, {sj}) out of range")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate entry at ({si}, {sj})")
-            seen.add((i, j))
-            rows[i][j] = _parse_scalar(sval)
-        return RationalMatrix(rows, ncols)
-    raise ValueError(f"bad matrix header: {lines[0]!r}")

@@ -11,7 +11,10 @@ Straightening keeps raw `(row1, row2)` tuples in canonical form: height-2
 columns sorted and ordered by top entry, the tail sorted.  A row-2 descent or
 the last top above the first tail entry is left, for a column exchange shared
 with `garnir`.  Each rewrite strictly lowers the key (row 2 and the tops as
-bitmasks, then row 2), so a heap pass ends without recursion; `fuel` guards it.
+bitmasks, then row 2), so a heap pass ends without recursion and expands each
+canonical tabloid at most once.  That bounds the rewrites by the number of
+canonical tabloids of shape (n - m, m), C(n, 2m)(2m - 1)!!: the 2m column
+entries, times their pairings into columns.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 from typing import Iterable
 
 from .boolean_algebra import BooleanElement
@@ -285,13 +289,20 @@ def _rewrite(rows: Rows) -> list[Rows] | None:
     return None
 
 
-def straighten(e: TabloidExpr, fuel: int = 10**6) -> TabloidExpr:
+def _canonical_count(shape: TwoRowShape) -> int:
+    # C(n, 2m)(2m - 1)!!: the canonical tabloids of shape (n - m, m).
+    m = shape.lambda2
+    return binomial(shape.n, 2 * m) * prod(range(1, 2 * m, 2))
+
+
+def straighten(e: TabloidExpr) -> TabloidExpr:
     """Rewrite an expression modulo the adjacent-column relations until every
     surviving tabloid is standard; integer inputs give integer outputs.
 
     One heap pass over canonical tabloids, largest key first, expands each
-    once with its incoming coefficients merged.  `fuel` bounds non-standard
-    input terms plus rewrites; the key ends the pass, so running out is a bug.
+    once with its incoming coefficients merged, so there are at most
+    C(n, 2m)(2m - 1)!! rewrites for shape (n - m, m).  Going past that
+    bound means the key did not decrease: a bug, raised as RuntimeError.
     """
     pending: dict[Rows, Scalar] = {}
     heap: list = []
@@ -309,21 +320,21 @@ def straighten(e: TabloidExpr, fuel: int = 10**6) -> TabloidExpr:
     shape = None
     for tab, coeff in e.terms():
         shape = tab.shape
-        fuel -= not is_standard(tab)
         push((tab.row1, tab.row2), coeff)
+    fuel = 0 if shape is None else _canonical_count(shape)
     out: dict[Tableau, Scalar] = {}
-    while fuel >= 0 and heap:
+    while heap:
         rows = heapq.heappop(heap)[1]
         coeff = pending.pop(rows)
         children = _rewrite(rows) if coeff else ()
         if children is None:
             out[Tableau(shape, *rows)] = coeff
         elif children:
+            if not fuel:
+                raise RuntimeError("straightening fuel exhausted")
             fuel -= 1
             for raw in children:
                 push(raw, coeff)
-    if fuel < 0:
-        raise RuntimeError("straightening fuel exhausted")
     return TabloidExpr._make(out)
 
 

@@ -17,6 +17,13 @@ from .boolean_algebra import BooleanElement, deletion_sum
 from .combinatorics import Permutation
 
 
+def _require_trade_domain(t: int, k: int, n: int) -> None:
+    if not 0 <= t < k:
+        raise ValueError(f"need 0 <= t < k, got t={t} k={k}")
+    if t + k > n:
+        raise ValueError(f"need t + k <= n, got t={t} k={k} n={n}")
+
+
 @dataclass(frozen=True)
 class TradeSpec:
     """Disjoint pairs (x_i, y_i), i = 1..t+1, plus an optional fixed tail.
@@ -37,10 +44,7 @@ class TradeSpec:
         object.__setattr__(self, "ys", tuple(self.ys))
         if self.tail is not None:
             object.__setattr__(self, "tail", tuple(self.tail))
-        if not 0 <= self.t < self.k:
-            raise ValueError(f"need 0 <= t < k, got t={self.t} k={self.k}")
-        if self.t + self.k > self.n:
-            raise ValueError(f"need t + k <= n, got t={self.t} k={self.k} n={self.n}")
+        _require_trade_domain(self.t, self.k, self.n)
         if len(self.xs) != self.t + 1 or len(self.ys) != self.t + 1:
             raise ValueError(f"need t+1={self.t + 1} xs and ys")
         if self.tail is not None and len(self.tail) != self.k - self.t - 1:
@@ -111,32 +115,8 @@ def trade_strength(e: BooleanElement) -> int | None:
     return None
 
 
-def normalized(spec: TradeSpec) -> tuple[TradeSpec, int]:
-    """Canonical sign-equivalent spec (x_i < y_i, pairs sorted by x) and the sign.
-
-    Swapping a pair negates the trade; reordering pairs leaves it unchanged.
-    """
-    sign = 1
-    pairs = []
-    for x, y in zip(spec.xs, spec.ys):
-        if x > y:
-            x, y = y, x
-            sign = -sign
-        pairs.append((x, y))
-    pairs.sort()
-    out = TradeSpec(
-        spec.n,
-        spec.t,
-        spec.k,
-        tuple(x for x, _ in pairs),
-        tuple(y for _, y in pairs),
-        spec.tail,
-    )
-    return out, sign
-
-
 def permute_spec(sigma: Permutation, spec: TradeSpec) -> TradeSpec:
-    """Elementwise image of a spec; not normalized."""
+    """Elementwise image of a spec; its pairs are not re-sorted."""
     if sigma.n != spec.n:
         raise ValueError(f"mismatched ground sets: {sigma.n} != {spec.n}")
     return TradeSpec(
@@ -164,10 +144,7 @@ def _matchings(elems: tuple[int, ...]) -> Iterator[list[tuple[int, int]]]:
 
 def total_trade_specs(t: int, k: int, n: int) -> Iterator[TradeSpec]:
     """All pair-normalized total-trade specs: every choice of t+1 disjoint pairs."""
-    if not 0 <= t < k:
-        raise ValueError(f"need 0 <= t < k, got t={t} k={k}")
-    if t + k > n:
-        raise ValueError(f"need t + k <= n, got t={t} k={k} n={n}")
+    _require_trade_domain(t, k, n)
     for chosen in combinations(range(1, n + 1), 2 * (t + 1)):
         for pairs in _matchings(chosen):
             yield TradeSpec(
@@ -194,10 +171,7 @@ def total_trade_basis(t: int, k: int, n: int) -> list[tuple[TradeSpec, BooleanEl
     """
     from .specht import TwoRowShape, standard_tableaux
 
-    if not 0 <= t < k:
-        raise ValueError(f"need 0 <= t < k, got t={t} k={k}")
-    if t + k > n:
-        raise ValueError(f"need t + k <= n, got t={t} k={k} n={n}")
+    _require_trade_domain(t, k, n)
     if n == 2 * t + 1:
         return []
     shape = TwoRowShape(n - t - 1, t + 1)

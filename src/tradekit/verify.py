@@ -292,31 +292,33 @@ def _primitive(coeffs: Sequence) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
+_COMBINATION_SEEDS = 20  # seeded random coefficient vectors per (t, k, n)
+
+
 def check_combination_rank(
     t: int,
     k: int,
     n: int,
     coeffs: Sequence | None = None,
-    seeds: int = 20,
     seed: int = 0,
 ) -> list[RankReport]:
     """Predicted vs computed rank for rational combinations of the intersection
     matrices.
 
-    With no explicit coefficients this runs `seeds` seeded random vectors plus
-    the adversarial grid {-2,-1,1,2}^(t+1), whose sign patterns can silence
-    individual isotypic blocks.  Since rank(λW) = rank(W) for λ ≠ 0, each
-    matrix is specified by the primitive integer representative of its
-    projective class, so each class is built and ranked once per process;
-    every report keeps its own coefficients and prediction, and a report
-    that reuses a rank shows ms=0.
+    With no explicit coefficients this runs `_COMBINATION_SEEDS` seeded
+    random vectors plus the adversarial grid {-2,-1,1,2}^(t+1), whose sign
+    patterns can silence individual isotypic blocks.  Since rank(λW) =
+    rank(W) for λ ≠ 0, each matrix is specified by the primitive integer
+    representative of its projective class, so each class is built and
+    ranked once per process; every report keeps its own coefficients and
+    prediction, and a report that reuses a rank shows ms=0.
     """
     _require_half(t, k, n)
     if coeffs is not None:
         vectors = [tuple(Fraction(c) for c in coeffs)]
     else:
         rng = random.Random(_seed_from("combination", t, k, n, seed))
-        vectors = [_random_coeffs(rng, t) for _ in range(seeds)]
+        vectors = [_random_coeffs(rng, t) for _ in range(_COMBINATION_SEEDS)]
         vectors.extend(iter_product((-2, -1, 1, 2), repeat=t + 1))
     reports = []
     for cs in vectors:

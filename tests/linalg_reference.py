@@ -14,6 +14,10 @@ def zeros(nrows: int, ncols: int) -> RationalMatrix:
     return RationalMatrix([[0] * ncols for _ in range(nrows)], ncols)
 
 
+def identity(n: int) -> RationalMatrix:
+    return RationalMatrix([[int(i == j) for j in range(n)] for i in range(n)], n)
+
+
 def transpose(m: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(
         [[m.entry(i, j) for i in range(m.nrows)] for j in range(m.ncols)], m.nrows

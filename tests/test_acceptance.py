@@ -182,7 +182,7 @@ def test_criterion_04_intersection_matrix_ranks():
 def test_criterion_05_combination_ranks():
     failures = []
     for t, k, n in _half_domain(8):
-        for r in check_combination_rank(t, k, n, seeds=20):
+        for r in check_combination_rank(t, k, n):
             if not r.passed:
                 failures.append((t, k, n, r.params["coeffs"], r.predicted, r.computed))
     _criterion("5 combination-rank n<=8 (20 seeds + grid)", failures)

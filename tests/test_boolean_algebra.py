@@ -12,12 +12,10 @@ from tradekit.boolean_algebra import (
     MatrixSpec,
     build_matrix,
     element_to_vector,
-    grade,
     j_set,
     lambda_coeff,
     permute_element,
     predicted_rank,
-    product,
     deletion_sum,
     render_element,
     subset_sum,
@@ -81,13 +79,6 @@ def test_product_associative_with_identity(case):
 def test_product_mismatched_n():
     with pytest.raises(ValueError):
         BooleanElement.one(3) * BooleanElement.one(4)
-
-
-def test_grade():
-    e = elem(3, ((1,), 1), ((1, 2), 1))
-    assert grade(e, 1) == elem(3, ((1,), 1))
-    assert grade(e, 4).is_zero
-    assert grade(BooleanElement.one(3), 0) == BooleanElement.one(3)
 
 
 def test_sigma_examples():
@@ -361,12 +352,6 @@ def test_render_element():
     e = elem(4, ((2, 4), Fraction(3, 2)), ((1, 3), -1), ((1,), 2))
     assert render_element(e) == "2*{1} - {1,3} + 3/2*{2,4}"
     assert render_element(elem(3, ((1,), -1))) == "-{1}"
-
-
-def test_product_named_alias():
-    a = elem(3, ((1,), 1))
-    b = elem(3, ((2,), 1))
-    assert product(a, b) == a * b
 
 
 def test_deletion_sum_matches_inclusion_matrix():

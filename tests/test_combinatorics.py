@@ -4,16 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tradekit.boolean_algebra import BooleanElement, permute_element
 from tradekit.combinatorics import (
     Permutation,
     Subset,
-    apply_permutation,
     binomial,
     colex_index,
     colex_rank,
     colex_tuples,
     colex_unrank,
-    intersection_size,
     subsets_iter,
 )
 
@@ -147,14 +146,6 @@ def test_colex_unrank_rank_table_roundtrip(case):
     assert colex_index(k, n)[s.elements] == r
 
 
-def test_intersection_size():
-    assert intersection_size(Subset(3, (1, 2)), Subset(3, (2, 3))) == 1
-    assert intersection_size(Subset(3, (1, 2)), Subset(3, (1, 2))) == 2
-    assert intersection_size(Subset(3, (1,)), Subset(3, (2, 3))) == 0
-    with pytest.raises(ValueError):
-        intersection_size(Subset(3, (1,)), Subset(4, (1,)))
-
-
 def test_permutation_validation():
     Permutation(3, (2, 1, 3))
     with pytest.raises(ValueError):
@@ -168,24 +159,36 @@ def test_permutation_validation():
             sigma(outside)
 
 
-def test_apply_permutation_examples():
-    assert apply_permutation(Permutation(3, (2, 1, 3)), Subset(3, (1, 3))).elements == (2, 3)
-    assert apply_permutation(Permutation.identity(2), Subset(2, (1, 2))).elements == (1, 2)
-    assert apply_permutation(Permutation(3, (3, 1, 2)), Subset(3, (1, 2))).elements == (1, 3)
-    with pytest.raises(ValueError):
-        apply_permutation(Permutation.identity(3), Subset(4, (1,)))
-
-
 def test_permutation_group_action():
+    # The action on subsets, read off single terms of permute_element.
+    def image(sigma, elements):
+        (term,) = permute_element(sigma, BooleanElement.term(sigma.n, elements)).terms()
+        return term
+
+    assert image(Permutation(3, (2, 1, 3)), (1, 3)) == ((2, 3), 1)
+    assert image(Permutation.identity(2), (1, 2)) == ((1, 2), 1)
+    assert image(Permutation(3, (3, 1, 2)), (1, 2)) == ((1, 3), 1)
+    with pytest.raises(ValueError):
+        permute_element(Permutation.identity(3), BooleanElement.term(4, (1,)))
+    # compose(sigma, tau) applies tau first: (1 2) after (2 3) sends 1 to 2
+    sigma, tau = Permutation(3, (2, 1, 3)), Permutation(3, (1, 3, 2))
+    assert image(sigma.compose(tau), (1,)) == ((2,), 1)
+    assert image(tau.compose(sigma), (1,)) == ((3,), 1)
     rng = random.Random(7)
     for _ in range(50):
         n = rng.randint(1, 9)
         sigma = Permutation(n, tuple(rng.sample(range(1, n + 1), n)))
         tau = Permutation(n, tuple(rng.sample(range(1, n + 1), n)))
         k = rng.randint(0, n)
-        s = Subset(n, tuple(sorted(rng.sample(range(1, n + 1), k))))
-        lhs = apply_permutation(sigma.compose(tau), s)
-        rhs = apply_permutation(sigma, apply_permutation(tau, s))
+        e = BooleanElement(
+            n,
+            [
+                (sorted(rng.sample(range(1, n + 1), k)), rng.randint(-3, 3))
+                for _ in range(rng.randint(1, 4))
+            ],
+        )
+        lhs = permute_element(sigma.compose(tau), e)
+        rhs = permute_element(sigma, permute_element(tau, e))
         assert lhs == rhs
 
 

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linalg_reference import kernel_basis, transpose, zeros
+from linalg_reference import identity, kernel_basis, transpose, zeros
 from tradekit.boolean_algebra import MatrixSpec, build_matrix
 from tradekit.linalg import (
     IntegerEchelon,
     RationalMatrix,
     in_span,
-    parse_matrix,
     rank_of_columns,
     render_dense,
     render_sparse,
@@ -25,7 +24,7 @@ def _random_matrix(rng, nrows, ncols):
 
 
 def test_rank_examples():
-    assert RationalMatrix.identity(3).rank() == 3
+    assert identity(3).rank() == 3
     assert RationalMatrix([[1, 2], [2, 4]]).rank() == 1
     assert RationalMatrix([[1, 1]]).rank() == 1
     assert zeros(2, 3).rank() == 0
@@ -34,7 +33,7 @@ def test_rank_examples():
 def test_kernel_examples():
     (v,) = kernel_basis(RationalMatrix([[1, 1]]))
     assert v[0] == -v[1] != 0
-    assert kernel_basis(RationalMatrix.identity(2)) == []
+    assert kernel_basis(identity(2)) == []
     assert len(kernel_basis(zeros(2, 3))) == 3
 
 
@@ -184,7 +183,7 @@ def test_in_span():
 
 def test_matvec():
     v = (Fraction(2), Fraction(-3))
-    assert RationalMatrix.identity(2).matvec(v) == v
+    assert identity(2).matvec(v) == v
     assert zeros(2, 2).matvec(v) == (0, 0)
     assert RationalMatrix([[1, 1]]).matvec((1, -1)) == (0,)
     with pytest.raises(ValueError):
@@ -273,81 +272,6 @@ def test_render_sparse_format():
     assert render_sparse(m) == "2 2 2\n1 2 1/3\n2 1 2\n"
 
 
-def test_parse_roundtrip():
-    rng = random.Random(23)
-    for _ in range(10):
-        m = RationalMatrix(
-            [
-                [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)]
-                for _ in range(3)
-            ]
-        )
-        assert parse_matrix(render_dense(m)) == m
-        assert parse_matrix(render_sparse(m)) == m
-    # integral tokens parse as int in both forms, the others as Fraction
-    m = RationalMatrix([[0, 2, Fraction(1, 3)], [-1, 0, 5]])
-    for text in (render_dense(m), render_sparse(m)):
-        parsed = parse_matrix(text)
-        assert parsed == m
-        assert [type(x) for row in parsed.rows() for x in row] == [int, int, Fraction] + [int] * 3
-    assert type(parse_matrix("1 1\n4/2\n").entry(0, 0)) is int
-    assert type(parse_matrix("1 1 1\n1 1 4/2\n").entry(0, 0)) is int
-
-
-# integral values are ints, as parsing returns them, so types can round-trip
-_CANONICAL_ENTRIES = _ENTRIES.map(lambda x: x.numerator if x.denominator == 1 else x)
-
-
-@st.composite
-def _matrices(draw):
-    """Small int/Fraction matrices, possibly with no rows, with zero rows."""
-    ncols = draw(st.integers(1, 5))
-    zero_row = st.just([0] * ncols)
-    row = st.lists(_CANONICAL_ENTRIES, min_size=ncols, max_size=ncols)
-    return RationalMatrix(draw(st.lists(st.one_of(zero_row, row), max_size=5)), ncols)
-
-
-@settings(derandomize=True, deadline=None, max_examples=100, database=None)
-@given(_matrices())
-def test_render_parse_roundtrip(m):
-    for text in (render_dense(m), render_sparse(m)):
-        parsed = parse_matrix(text)
-        assert parsed == m
-        assert [type(x) for row in parsed.rows() for x in row] == [
-            type(x) for row in m.rows() for x in row
-        ]
-
-
-def test_parse_rejects_bad_text():
-    with pytest.raises(ValueError):
-        parse_matrix("")
-    with pytest.raises(ValueError):
-        parse_matrix("2 2\n1 1\n")
-    with pytest.raises(ValueError, match="expected 2 columns, got 3"):
-        parse_matrix("1 2\n1 1 1\n")
-    with pytest.raises(ValueError):
-        parse_matrix("1 2 2\n1 1 5\n1 1 7\n")
-    with pytest.raises(ValueError, match="zero denominator"):
-        parse_matrix("1 2\n1 1/0\n")
-    with pytest.raises(ValueError, match="zero denominator"):
-        parse_matrix("1 2 1\n1 2 1/0\n")
-
-
 def test_negative_dimensions_rejected():
     with pytest.raises(ValueError, match="ncols must be nonnegative, got -2"):
         RationalMatrix([], -2)
-    with pytest.raises(ValueError, match="negative count in matrix header"):
-        parse_matrix("0 -3\n")
-    with pytest.raises(ValueError, match="negative count in matrix header"):
-        parse_matrix("-1 2 0\n")
-    with pytest.raises(ValueError, match="negative count in matrix header"):
-        parse_matrix("2 -1 0\n")
-
-
-def test_parse_rejects_bad_sparse_text():
-    with pytest.raises(ValueError, match="expected 2 triples, got 1"):
-        parse_matrix("2 2 2\n1 1 5\n")
-    with pytest.raises(ValueError, match=r"index \(3, 1\) out of range"):
-        parse_matrix("2 2 1\n3 1 5\n")
-    with pytest.raises(ValueError, match="bad matrix header"):
-        parse_matrix("1 2 3 4\n")

@@ -27,7 +27,8 @@ from tradekit.specht import (
     straighten,
     young_rule,
 )
-from tradekit.specht import _canonical, _rewrite
+from tradekit import specht
+from tradekit.specht import _canonical, _canonical_count, _rewrite
 from tradekit.trades import TradeSpec, total_trade
 
 
@@ -295,6 +296,8 @@ def test_straighten_rewrites_lower_the_key():
     for n in range(2, 8):
         for shape in two_row_shapes(n):
             canonical = {_canonical((u.row1, u.row2))[0] for u in all_tableaux(shape)}
+            # straighten's rewrite bound counts exactly these fillings
+            assert len(canonical) == _canonical_count(shape)
             for rows in canonical:
                 children = _rewrite(rows)
                 assert (children is None) == is_standard(Tableau(shape, *rows))
@@ -382,13 +385,26 @@ def test_mixed_shapes_rejected():
     assert TabloidExpr() - TabloidExpr([(c, 1)]) == TabloidExpr([(c, -1)])
 
 
+def test_straighten_stops_when_a_rewrite_makes_no_progress(monkeypatch):
+    # A broken rewrite that gives back its own input never lowers the key;
+    # the bound of C(n, 2m)(2m - 1)!! rewrites must end the pass.
+    calls = []
+
+    def stuck(rows):
+        calls.append(rows)
+        return [rows]
+
+    monkeypatch.setattr(specht, "_rewrite", stuck)
+    shape = TwoRowShape(2, 2)
+    non_standard = TabloidExpr([(Tableau(shape, (3, 1), (4, 2)), 1)])
+    with pytest.raises(RuntimeError, match="straightening fuel exhausted"):
+        straighten(non_standard)
+    assert len(calls) == binomial(4, 4) * 3 + 1
+
+
 def test_invalid_arguments_rejected():
     shape = TwoRowShape(2, 2)
     with pytest.raises(ValueError, match="sign must be"):
         Tabloid(Tableau(shape, (1, 2), (3, 4)), 2)
-    non_standard = TabloidExpr([(Tableau(shape, (3, 1), (4, 2)), 1)])
-    assert not non_standard.is_zero
-    with pytest.raises(RuntimeError, match="straightening fuel exhausted"):
-        straighten(non_standard, fuel=0)
     with pytest.raises(ValueError, match="cannot infer the ground set"):
         trade_map_expr(TabloidExpr(), 2)

@@ -17,7 +17,6 @@ from tradekit.trades import (
     all_total_trades,
     is_t_trade,
     minimal_trade,
-    normalized,
     permute_spec,
     render_spec,
     total_trade,
@@ -205,11 +204,17 @@ def test_skew_symmetry():
 
 
 def test_normalized():
-    spec = TradeSpec(6, 1, 2, (5, 2), (3, 4), None)
-    norm, sign = normalized(spec)
-    assert norm.xs == (2, 3) and norm.ys == (4, 5)
-    assert sign == -1
-    assert total_trade(norm) == sign * total_trade(spec)
+    # (5, 3), (2, 4) normalizes to (2, 4), (3, 5): one pair swap, sign -1
+    spec = TradeSpec(6, 1, 2, (5, 2), (3, 4))
+    assert total_trade(TradeSpec(6, 1, 2, (2, 3), (4, 5))) == -1 * total_trade(spec)
+    # reordering the pairs keeps the trade
+    assert total_trade(TradeSpec(6, 1, 2, (2, 5), (4, 3))) == total_trade(spec)
+    # swapping a pair is the transposition (x y) acting, and it negates
+    swapped = permute_element(Permutation.transposition(6, 3, 5), total_trade(spec))
+    assert swapped == total_trade(TradeSpec(6, 1, 2, (3, 2), (5, 4))) == -1 * total_trade(spec)
+    # enumerated specs are normalized: x < y in each pair, pairs sorted by x
+    for s in total_trade_specs(2, 3, 7):
+        assert all(x < y for x, y in zip(s.xs, s.ys)) and list(s.xs) == sorted(s.xs)
 
 
 def test_permuted_spec_matches_permuted_element():

@@ -143,15 +143,18 @@ def test_combination_rank_explicit_and_scaling():
 
 
 def test_combination_rank_seeded_batch():
-    reports = check_combination_rank(1, 2, 6, seeds=5)
-    # 5 random vectors plus the 4^2 grid
-    assert len(reports) == 5 + 16
+    reports = check_combination_rank(1, 2, 6)
+    # 20 random vectors plus the 4^2 grid
+    assert len(reports) == 20 + 16
     assert all(r.passed for r in reports)
-    # deterministic re-run
-    again = check_combination_rank(1, 2, 6, seeds=5)
+    # deterministic re-run, and the seed changes only the random vectors
+    again = check_combination_rank(1, 2, 6)
     assert [(r.params["coeffs"], r.predicted, r.computed) for r in reports] == [
         (r.params["coeffs"], r.predicted, r.computed) for r in again
     ]
+    other = check_combination_rank(1, 2, 6, seed=1)
+    assert [r.params["coeffs"] for r in other[20:]] == [r.params["coeffs"] for r in reports[20:]]
+    assert [r.params["coeffs"] for r in other[:20]] != [r.params["coeffs"] for r in reports[:20]]
 
 
 def test_combination_rank_one_matrix_per_projective_class(monkeypatch):
@@ -172,15 +175,21 @@ def test_combination_rank_one_matrix_per_projective_class(monkeypatch):
 
     verify._matrix_rank.cache_clear()
     monkeypatch.setattr(verify, "build_matrix", counting_build)
-    # the {-2,-1,1,2}^(t+1) grid has 1, 6 and 28 projective classes, each
-    # built once from its primitive representative, and once per process
+    # the {-2,-1,1,2}^(t+1) grid has 1, 6 and 28 projective classes; with the
+    # random vectors, each class is built once from its primitive
+    # representative, and once per process
     for t, k, n, classes in [(0, 1, 2, 1), (1, 2, 4, 6), (2, 3, 6, 28)]:
         builds.clear()
-        assert len(check_combination_rank(t, k, n, seeds=0)) == 4 ** (t + 1)
-        assert len(builds) == len(set(builds)) == classes
+        reports = check_combination_rank(t, k, n)
+        assert len(reports) == 20 + 4 ** (t + 1)
+        grid = {verify._primitive(r.params["coeffs"]) for r in reports[20:]}
+        assert len(grid) == classes
+        every = {verify._primitive(r.params["coeffs"]) for r in reports}
+        assert len(builds) == len(set(builds)) == len(every)
+        assert set(builds) == every
         assert all(verify._primitive(cs) == cs for cs in builds)
         builds.clear()
-        assert len(check_combination_rank(t, k, n, seeds=0)) == 4 ** (t + 1)
+        assert len(check_combination_rank(t, k, n)) == 20 + 4 ** (t + 1)
         assert builds == []
 
 
