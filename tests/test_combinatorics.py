@@ -159,21 +159,25 @@ def test_permutation_validation():
             sigma(outside)
 
 
-def test_permutation_group_action():
+def _image(sigma, elements):
     # The action on subsets, read off single terms of permute_element.
-    def image(sigma, elements):
-        (term,) = permute_element(sigma, BooleanElement.term(sigma.n, elements)).terms()
-        return term
+    (term,) = permute_element(sigma, BooleanElement.term(sigma.n, elements)).terms()
+    return term
 
-    assert image(Permutation(3, (2, 1, 3)), (1, 3)) == ((2, 3), 1)
-    assert image(Permutation.identity(2), (1, 2)) == ((1, 2), 1)
-    assert image(Permutation(3, (3, 1, 2)), (1, 2)) == ((1, 3), 1)
+
+def test_apply_permutation_examples():
+    assert _image(Permutation(3, (2, 1, 3)), (1, 3)) == ((2, 3), 1)
+    assert _image(Permutation.identity(2), (1, 2)) == ((1, 2), 1)
+    assert _image(Permutation(3, (3, 1, 2)), (1, 2)) == ((1, 3), 1)
     with pytest.raises(ValueError):
         permute_element(Permutation.identity(3), BooleanElement.term(4, (1,)))
+
+
+def test_permutation_group_action():
     # compose(sigma, tau) applies tau first: (1 2) after (2 3) sends 1 to 2
     sigma, tau = Permutation(3, (2, 1, 3)), Permutation(3, (1, 3, 2))
-    assert image(sigma.compose(tau), (1,)) == ((2,), 1)
-    assert image(tau.compose(sigma), (1,)) == ((3,), 1)
+    assert _image(sigma.compose(tau), (1,)) == ((2,), 1)
+    assert _image(tau.compose(sigma), (1,)) == ((3,), 1)
     rng = random.Random(7)
     for _ in range(50):
         n = rng.randint(1, 9)
