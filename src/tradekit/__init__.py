@@ -59,8 +59,7 @@ from .trades import (
     trade_strength,
 )
 from .verify import (
-    DecompositionReport,
-    RankReport,
+    Report,
     VerificationError,
     check_trade_basis,
     check_combination_rank,

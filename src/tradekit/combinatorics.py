@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -91,12 +91,12 @@ def colex_tuples(k: int, n: int) -> Iterator[tuple[int, ...]]:
     yield from sorted(combinations(range(1, n + 1), k), key=lambda s: s[::-1])
 
 
-@lru_cache(maxsize=64)
+@cache
 def colex_index(k: int, n: int) -> dict[tuple[int, ...], int]:
     """Colex index of every k-subset tuple of {1..n}, in colex order.
 
-    One shared table per (k, n), so callers must not mutate it.  The cache
-    holds every pair with n <= 9 (55 of them) without eviction.
+    One shared table per (k, n), built once per process and never evicted,
+    so callers must not mutate it.
     """
     return {s: colex_rank(s) for s in colex_tuples(k, n)}
 

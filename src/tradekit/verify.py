@@ -3,10 +3,10 @@
 Every check pairs a predicted quantity (closed formula or dimension count)
 with a value computed independently by exact row reduction, and reports both.
 Randomness is always seeded from the check's own parameters so reruns are
-reproducible.  One ordered table maps each suite name to the reports it
-yields over its parameter domain; `SUITES` lists its names, and `all` runs
-the suites in that order.  Only ints are memoised, once per process: the
-span rank and the literal-audit rank per (t, k, n), shared between
+reproducible.  Every check returns one `Report`.  One ordered table maps
+each suite name to the reports it yields over its parameter domain; `SUITES`
+lists its names, and `all` runs the suites in that order.  Only ints are
+memoised, once per process: the span rank per (t, k, n), shared between
 `total-trade-dim`, `basis-standard` and `basis-literal-audit`, and the rank
 of each distinct `MatrixSpec`, shared between `inclusion-rank`,
 `kernel-decomposition`, `intersection-rank` and `combination-rank` (W_t is
@@ -28,10 +28,10 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -48,6 +48,7 @@ from .linalg import IntegerEchelon, Vector, rank_of_columns
 from .specht import TwoRowShape, specht_dim
 from .trades import (
     TradeSpec,
+    _require_trade_domain,
     is_t_trade,
     minimal_trade,
     total_trade,
@@ -66,18 +67,11 @@ def _fmt_param(value) -> str:
     return str(value)
 
 
-def _check_line(report: Report, predicted: int, computed: int) -> str:
-    params = ",".join(f"{k}={_fmt_param(v)}" for k, v in report.params.items())
-    return (
-        f"CHECK {report.claim} params={params} "
-        f"predicted={predicted} computed={computed} "
-        f"pass={'true' if report.passed else 'false'} ms={report.elapsed_ms}"
-    )
-
-
 @dataclass
-class RankReport:
-    """Outcome of one rank/dimension check: pass iff predicted == computed."""
+class Report:
+    """Outcome of one check: a predicted and a computed value, and for a
+    direct-sum check the per-summand dimensions, containment flags and an
+    internal consistency flag.  It passes when all of them agree."""
 
     claim: str
     params: dict
@@ -85,45 +79,26 @@ class RankReport:
     computed: int
     elapsed_ms: int = 0
     asserted: bool = True
-
-    @property
-    def passed(self) -> bool:
-        return self.predicted == self.computed
-
-    def line(self) -> str:
-        return _check_line(self, self.predicted, self.computed)
-
-
-@dataclass
-class DecompositionReport:
-    """Outcome of a direct-sum check: per-summand dimensions, containment
-    flags, and the matching of the total against the row-reduction value."""
-
-    claim: str
-    params: dict
-    summands: list[tuple[tuple[int, int], int, int]]  # (shape, predicted, computed)
-    containment: list[bool]
-    predicted_total: int
-    computed_total: int
+    summands: Sequence[tuple[tuple[int, int], int, int]] = ()  # (shape, predicted, computed)
+    containment: Sequence[bool] = ()
     consistent: bool = True
-    elapsed_ms: int = 0
-    asserted: bool = True
-    extras: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
         return (
-            all(p == c for _, p, c in self.summands)
+            self.predicted == self.computed
+            and all(p == c for _, p, c in self.summands)
             and all(self.containment)
-            and self.predicted_total == self.computed_total
             and self.consistent
         )
 
     def line(self) -> str:
-        return _check_line(self, self.predicted_total, self.computed_total)
-
-
-Report = RankReport | DecompositionReport
+        params = ",".join(f"{k}={_fmt_param(v)}" for k, v in self.params.items())
+        return (
+            f"CHECK {self.claim} params={params} "
+            f"predicted={self.predicted} computed={self.computed} "
+            f"pass={'true' if self.passed else 'false'} ms={self.elapsed_ms}"
+        )
 
 
 def _seed_from(*parts) -> int:
@@ -160,16 +135,6 @@ def _span_rank(t: int, k: int, n: int) -> int:
     return orbit_span(_first_total_trade(t, k, n), k).rank
 
 
-@cache
-def _literal_rank(t: int, k: int, n: int) -> tuple[int, int]:
-    # (cardinality, rank) of the literal three-condition set.  Every literal
-    # trade is a total trade, so the span rank bounds the rank, and the
-    # vectors past the first span-rank many independent ones are never built.
-    literal = literal_basis_specs(t, k, n)
-    vectors = (element_to_vector(total_trade(s), k) for s in literal)
-    return len(literal), rank_of_columns(vectors, ceiling=_span_rank(t, k, n))
-
-
 def _strata_dim(strata: Iterable[int], n: int) -> int:
     # Stratum i spans S^(n-i-1,i+1), of dimension C(n, i+1) - C(n, i).
     return sum(binomial(n, i + 1) - binomial(n, i) for i in strata)
@@ -179,11 +144,11 @@ def _basis_vectors(i: int, k: int, n: int) -> list[Vector]:
     return [element_to_vector(e, k) for _, e in total_trade_basis(i, k, n)]
 
 
-def check_inclusion_rank(t: int, k: int, n: int) -> RankReport:
+def check_inclusion_rank(t: int, k: int, n: int) -> Report:
     """Inclusion matrix between grades t and k has full row rank C(n, t)."""
     _require_half(t, k, n)
     start = time.perf_counter()
-    return RankReport(
+    return Report(
         "inclusion-rank",
         {"t": t, "k": k, "n": n},
         predicted=binomial(n, t),
@@ -192,7 +157,7 @@ def check_inclusion_rank(t: int, k: int, n: int) -> RankReport:
     )
 
 
-def check_total_trade_dim(t: int, k: int, n: int) -> RankReport:
+def check_total_trade_dim(t: int, k: int, n: int) -> Report:
     """Span of all total trades has dimension C(n, t+1) - C(n, t).
 
     The span is spun from one total trade T(x, y), the first spec's, with
@@ -206,7 +171,7 @@ def check_total_trade_dim(t: int, k: int, n: int) -> RankReport:
     by design.
     """
     start = time.perf_counter()
-    return RankReport(
+    return Report(
         "total-trade-dim",
         {"t": t, "k": k, "n": n},
         predicted=binomial(n, t + 1) - binomial(n, t),
@@ -215,7 +180,7 @@ def check_total_trade_dim(t: int, k: int, n: int) -> RankReport:
     )
 
 
-def check_kernel_decomposition(t: int, k: int, n: int) -> DecompositionReport:
+def check_kernel_decomposition(t: int, k: int, n: int) -> Report:
     """The t-trade space splits into the total-trade strata i = t..k-1.
 
     Checks stratum-by-stratum kernel membership, dimensions, and that the
@@ -238,30 +203,26 @@ def check_kernel_decomposition(t: int, k: int, n: int) -> DecompositionReport:
         containment.append(in_kernel)
         all_vectors.extend(vectors)
     concat_rank = rank_of_columns(all_vectors)
-    predicted_total = binomial(n, k) - binomial(n, t)
-    consistent = (
-        concat_rank == sum(c for _, _, c in summands) and kernel_dim == predicted_total
-    )
-    return DecompositionReport(
+    predicted = binomial(n, k) - binomial(n, t)
+    return Report(
         "kernel-decomposition",
         {"t": t, "k": k, "n": n},
+        predicted=predicted,
+        computed=concat_rank,
         summands=summands,
         containment=containment,
-        predicted_total=predicted_total,
-        computed_total=concat_rank,
-        consistent=consistent,
+        consistent=concat_rank == sum(c for _, _, c in summands) and kernel_dim == predicted,
         elapsed_ms=_ms(start),
-        extras={"kernel_dim": kernel_dim},
     )
 
 
-def check_intersection_rank(t: int, k: int, n: int, l: int) -> RankReport:
+def check_intersection_rank(t: int, k: int, n: int, l: int) -> Report:
     """Rank of the single intersection matrix at overlap l matches the prediction;
     `MatrixSpec.intersection` rejects l outside 0..t."""
     if not (0 <= t <= k and 2 * k <= n):
         raise ValueError(f"need t <= k <= n/2, got t={t} k={k} n={n}")
     start = time.perf_counter()
-    return RankReport(
+    return Report(
         "intersection-rank",
         {"t": t, "k": k, "n": n, "l": l},
         predicted=predicted_rank(t, k, n, [int(j == l) for j in range(t + 1)]),
@@ -280,13 +241,11 @@ def _random_coeffs(rng: random.Random, t: int) -> tuple[Fraction, ...]:
 
 
 def _primitive(coeffs: Sequence) -> tuple[int, ...]:
-    # The integer vector on the line through coeffs with coprime entries and
-    # a positive first nonzero entry; the zero vector maps to itself.
+    # The integer vector on the line through nonzero coeffs with coprime
+    # entries and a positive first nonzero entry.
     m = lcm(*(c.denominator for c in coeffs))
     ints = [c.numerator * (m // c.denominator) for c in coeffs]
     g = gcd(*ints)
-    if not g:
-        return tuple(ints)
     if next(x for x in ints if x) < 0:
         g = -g
     return tuple(x // g for x in ints)
@@ -295,36 +254,27 @@ def _primitive(coeffs: Sequence) -> tuple[int, ...]:
 _COMBINATION_SEEDS = 20  # seeded random coefficient vectors per (t, k, n)
 
 
-def check_combination_rank(
-    t: int,
-    k: int,
-    n: int,
-    coeffs: Sequence | None = None,
-    seed: int = 0,
-) -> list[RankReport]:
+def check_combination_rank(t: int, k: int, n: int, seed: int = 0) -> list[Report]:
     """Predicted vs computed rank for rational combinations of the intersection
     matrices.
 
-    With no explicit coefficients this runs `_COMBINATION_SEEDS` seeded
-    random vectors plus the adversarial grid {-2,-1,1,2}^(t+1), whose sign
-    patterns can silence individual isotypic blocks.  Since rank(λW) =
-    rank(W) for λ ≠ 0, each matrix is specified by the primitive integer
-    representative of its projective class, so each class is built and
-    ranked once per process; every report keeps its own coefficients and
-    prediction, and a report that reuses a rank shows ms=0.
+    This runs `_COMBINATION_SEEDS` seeded random vectors plus the adversarial
+    grid {-2,-1,1,2}^(t+1), whose sign patterns can silence individual
+    isotypic blocks.  Since rank(λW) = rank(W) for λ ≠ 0, each matrix is
+    specified by the primitive integer representative of its projective
+    class, so each class is built and ranked once per process; every report
+    keeps its own coefficients and prediction, and a report that reuses a
+    rank shows ms=0.
     """
     _require_half(t, k, n)
-    if coeffs is not None:
-        vectors = [tuple(Fraction(c) for c in coeffs)]
-    else:
-        rng = random.Random(_seed_from("combination", t, k, n, seed))
-        vectors = [_random_coeffs(rng, t) for _ in range(_COMBINATION_SEEDS)]
-        vectors.extend(iter_product((-2, -1, 1, 2), repeat=t + 1))
+    rng = random.Random(_seed_from("combination", t, k, n, seed))
+    vectors = [_random_coeffs(rng, t) for _ in range(_COMBINATION_SEEDS)]
+    vectors.extend(iter_product((-2, -1, 1, 2), repeat=t + 1))
     reports = []
     for cs in vectors:
         start = time.perf_counter()
         reports.append(
-            RankReport(
+            Report(
                 "combination-rank",
                 {"t": t, "k": k, "n": n, "coeffs": cs},
                 predicted=predicted_rank(t, k, n, cs),
@@ -335,22 +285,39 @@ def check_combination_rank(
     return reports
 
 
-def literal_basis_specs(t: int, k: int, n: int) -> list[TradeSpec]:
+def _sorted_splits(t: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    # Splits of the positions 0..2t+1 into increasing xs and ys with the i-th
+    # x before the i-th y; there are Catalan(t+1) of them.
+    m = 2 * (t + 1)
+    splits = []
+    for xi in combinations(range(m), t + 1):
+        yi = tuple(i for i in range(m) if i not in xi)
+        if all(x < y for x, y in zip(xi, yi)):
+            splits.append((xi, yi))
+    return splits
+
+
+def literal_basis_specs(t: int, k: int, n: int) -> Iterator[TradeSpec]:
     """Total-trade specs satisfying only the three sortedness conditions:
-    xs increasing, ys increasing, and x_i < y_i columnwise."""
-    return [
-        spec
-        for spec in total_trade_specs(t, k, n)
-        if all(spec.ys[i] < spec.ys[i + 1] for i in range(t))
-    ]
+    xs increasing, ys increasing, and x_i < y_i columnwise, built lazily.
+
+    Such a spec is a set of 2(t+1) elements cut by one of the
+    `_sorted_splits(t)` of its sorted positions, so there are C(n, 2t+2)
+    times that many.
+    """
+    _require_trade_domain(t, k, n)
+    splits = _sorted_splits(t)
+    return (
+        TradeSpec(n, t, k, tuple(c[i] for i in xi), tuple(c[i] for i in yi))
+        for c in combinations(range(1, n + 1), 2 * (t + 1))
+        for xi, yi in splits
+    )
 
 
-def check_trade_basis(t: int, k: int, n: int) -> DecompositionReport:
-    """Audit the two candidate bases of the total-trade span.
-
-    The standard-filling basis is asserted (cardinality, independence,
-    spanning).  The literal three-condition set is measured and reported only;
-    for small parameters it is strictly larger than the span's dimension.
+def check_trade_basis(t: int, k: int, n: int) -> Report:
+    """The standard-filling basis of the total-trade span: cardinality,
+    independence and spanning are asserted.  The other candidate, the literal
+    three-condition set, is measured by `literal_basis_audit` only.
 
     On the boundary t + k = n, k >= t + 2 every basis trade is zero, so the
     span and the basis rank are 0 while the predicted dimension is positive:
@@ -360,37 +327,31 @@ def check_trade_basis(t: int, k: int, n: int) -> DecompositionReport:
     vectors = _basis_vectors(t, k, n)
     dim = specht_dim(TwoRowShape(n - t - 1, t + 1))
     basis_rank = rank_of_columns(vectors)
-    span_rank = _span_rank(t, k, n)
-    literal_cardinality, literal_rank = _literal_rank(t, k, n)
-    return DecompositionReport(
+    return Report(
         "basis-standard",
         {"t": t, "k": k, "n": n},
+        predicted=dim,
+        computed=basis_rank,
         summands=[((n - t - 1, t + 1), dim, basis_rank)],
-        containment=[span_rank == basis_rank],
-        predicted_total=dim,
-        computed_total=basis_rank,
+        containment=[_span_rank(t, k, n) == basis_rank],
         consistent=len(vectors) == dim,
         elapsed_ms=_ms(start),
-        extras={
-            "span_rank": span_rank,
-            "literal_cardinality": literal_cardinality,
-            "literal_rank": literal_rank,
-        },
     )
 
 
-def literal_basis_audit(t: int, k: int, n: int) -> RankReport:
+def literal_basis_audit(t: int, k: int, n: int) -> Report:
     """Report-only comparison of the literal three-condition set's rank with
     the span dimension; never asserted."""
     start = time.perf_counter()
-    cardinality, literal_rank = _literal_rank(t, k, n)
-    return RankReport(
+    vectors = (element_to_vector(total_trade(s), k) for s in literal_basis_specs(t, k, n))
+    cardinality = binomial(n, 2 * (t + 1)) * len(_sorted_splits(t))
+    return Report(
         "basis-literal-audit",
         {"t": t, "k": k, "n": n, "cardinality": cardinality},
         predicted=specht_dim(TwoRowShape(n - t - 1, t + 1)),
-        computed=literal_rank,
-        elapsed_ms=_ms(start),
+        computed=rank_of_columns(vectors, ceiling=_span_rank(t, k, n)),
         asserted=False,
+        elapsed_ms=_ms(start),
     )
 
 
@@ -450,13 +411,13 @@ def orbit_decomposition(e: BooleanElement, t: int) -> set[int]:
     return strata
 
 
-def check_graver_jurkat(t: int, k: int, n: int, seed: int = 0) -> RankReport:
+def check_graver_jurkat(t: int, k: int, n: int, seed: int = 0) -> Report:
     """The orbit of one random minimal trade spans the whole t-trade space."""
     _require_half(t, k, n)
     start = time.perf_counter()
     rng = random.Random(_seed_from("graver-jurkat", t, k, n, seed))
     ech = orbit_span(minimal_trade(_random_minimal_spec(rng, t, k, n)), k)
-    return RankReport(
+    return Report(
         "graver-jurkat",
         {"t": t, "k": k, "n": n, "seed": seed},
         predicted=binomial(n, k) - binomial(n, t),
@@ -476,7 +437,7 @@ def _random_minimal_spec(rng: random.Random, t: int, k: int, n: int) -> TradeSpe
     return TradeSpec(n, t, k, tuple(xs), tuple(ys), tuple(tail))
 
 
-def check_orbit_witness(t: int, k: int, n: int, kind: str, seed: int = 0) -> RankReport:
+def check_orbit_witness(t: int, k: int, n: int, kind: str, seed: int = 0) -> Report:
     """Orbit-span dimension for a constructed witness with known strata.
 
     kind `total`: one total trade, strata {t}; `minimal`: one minimal trade,
@@ -502,7 +463,7 @@ def check_orbit_witness(t: int, k: int, n: int, kind: str, seed: int = 0) -> Ran
     else:
         raise ValueError(f"unknown witness kind {kind!r}")
     strata = orbit_decomposition(e, t)
-    return RankReport(
+    return Report(
         f"orbit-{kind}",
         {"t": t, "k": k, "n": n, "strata": tuple(sorted(strata))},
         predicted=_strata_dim(expected, n),
@@ -511,7 +472,7 @@ def check_orbit_witness(t: int, k: int, n: int, kind: str, seed: int = 0) -> Ran
     )
 
 
-def check_lambda_closed_form(bound: int) -> RankReport:
+def check_lambda_closed_form(bound: int) -> Report:
     """lambda_j(t,k,n;t) collapses to the single binomial C(k-j, t-j);
     checked exhaustively for 0 <= j <= t <= k <= n <= bound."""
     if bound < 1:
@@ -526,7 +487,7 @@ def check_lambda_closed_form(bound: int) -> RankReport:
                     cases += 1
                     if lambda_coeff(t, k, n, t, j) == binomial(k - j, t - j):
                         matches += 1
-    return RankReport(
+    return Report(
         "lambda-closed-form",
         {"n_max": bound},
         predicted=cases,
@@ -552,8 +513,6 @@ def _sum_domain(n_max: int) -> Iterator[tuple[int, int, int]]:
 
 
 def _basis_suite(n_max: int, seed: int) -> Iterator[Report]:
-    # basis-standard runs first for each tuple, so the literal rank is
-    # computed (and timed) there and the audit reuses it.
     for t, k, n in _sum_domain(n_max):
         if n - t - 1 >= t + 1:
             yield check_trade_basis(t, k, n)

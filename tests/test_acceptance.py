@@ -44,6 +44,7 @@ from tradekit.verify import (
     check_lambda_closed_form,
     check_orbit_witness,
     check_total_trade_dim,
+    literal_basis_audit,
     literal_basis_specs,
 )
 
@@ -285,19 +286,17 @@ def test_criterion_11_standard_basis_and_literal_audit():
         if _on_boundary(t, k, n):
             boundary.add((t, k, n))
         dim = _span_dim(t, k, n)
+        span_rank = check_total_trade_dim(t, k, n).computed
         if (
-            r.predicted_total != binomial(n, t + 1) - binomial(n, t)
-            or r.computed_total != dim
-            or r.extras["span_rank"] != dim
+            r.predicted != binomial(n, t + 1) - binomial(n, t)
+            or r.computed != dim
+            or span_rank != dim
             or not all(r.containment)
             or not r.consistent
         ):
-            mismatches.append(
-                (t, k, n, r.predicted_total, r.computed_total, r.extras["span_rank"])
-            )
-        audited.append(
-            (t, k, n, r.extras["literal_cardinality"], r.extras["literal_rank"])
-        )
+            mismatches.append((t, k, n, r.predicted, r.computed, span_rank))
+        audit = literal_basis_audit(t, k, n)
+        audited.append((t, k, n, audit.params["cardinality"], audit.computed))
     # the literal three-condition set is reported, never asserted; the known
     # small discrepancy must be reproduced
     assert (0, 1, 3, 3, 2) in audited
@@ -308,7 +307,7 @@ def test_criterion_11_standard_basis_and_literal_audit():
 
 def test_criterion_11_audit_examples_detail():
     # the audit itself: 3 candidate specs for (0,1,3), spanning a 2-dim space
-    specs = literal_basis_specs(0, 1, 3)
+    specs = list(literal_basis_specs(0, 1, 3))
     assert len(specs) == 3
     vectors = [element_to_vector(total_trade(s), 1) for s in specs]
     assert rank_of_columns(vectors) == 2 == binomial(3, 1) - binomial(3, 0)

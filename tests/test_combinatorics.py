@@ -116,14 +116,14 @@ def test_negative_subset_size_rejected():
 
 def test_colex_index_table():
     colex_index.cache_clear()
-    pairs = [(k, n) for n in range(10) for k in range(n + 1)]
-    assert len(pairs) == 55
+    pairs = [(k, n) for n in range(12) for k in range(n + 1)]
+    assert len(pairs) == 78
     for k, n in pairs:
         table = colex_index(k, n)
         assert list(table) == list(colex_tuples(k, n))
         assert list(table.values()) == list(range(binomial(n, k)))
     assert colex_index(3, 2) == {}
-    # a second sweep over every n <= 9 pair is served from the cache
+    # a second sweep over every n <= 11 pair is served from the cache
     misses = colex_index.cache_info().misses
     for k, n in pairs:
         colex_index(k, n)

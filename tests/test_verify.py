@@ -2,6 +2,7 @@ import json
 import lzma
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -69,12 +70,12 @@ def test_total_trade_dim_examples():
 def test_kernel_decomposition_examples():
     r = check_kernel_decomposition(0, 2, 4)
     assert [s[2] for s in r.summands] == [3, 2]
-    assert r.predicted_total == binomial(4, 2) - binomial(4, 0) == 5
+    assert r.predicted == binomial(4, 2) - binomial(4, 0) == 5
     assert r.passed
 
     r = check_kernel_decomposition(1, 2, 5)
     assert len(r.summands) == 1
-    assert r.predicted_total == 5 and r.passed
+    assert r.predicted == 5 and r.passed
 
     r = check_kernel_decomposition(0, 1, 2)
     assert r.summands[0][1] == 1 and r.passed
@@ -131,15 +132,17 @@ def test_intersection_rank_rejects_bad_domain():
 
 
 def test_combination_rank_explicit_and_scaling():
-    (r,) = check_combination_rank(1, 2, 6, coeffs=(1, 1))
-    assert r.passed
-    (r7,) = check_combination_rank(1, 2, 6, coeffs=(7, 7))
-    assert r7.predicted == r.predicted and r7.computed == r.computed
-    (unit,) = check_combination_rank(1, 2, 6, coeffs=(0, 1))
-    assert unit.predicted == binomial(6, 1) and unit.passed
-    # the zero vector is its own projective class
-    (zero,) = check_combination_rank(1, 2, 4, coeffs=(0, 0))
-    assert "coeffs=(0,0) predicted=0 computed=0 pass=true" in zero.line()
+    # rank(λW) = rank(W) for λ ≠ 0: every multiple of (1, 1) is ranked as (1, 1)
+    for cs in [(1, 1), (7, 7), (-2, -2), (Fraction(-1, 3), Fraction(-1, 3))]:
+        assert verify._primitive(cs) == (1, 1)
+        assert predicted_rank(1, 2, 6, cs) == predicted_rank(1, 2, 6, (1, 1))
+    assert verify._primitive((Fraction(2, 3), -2)) == (1, -3)
+    assert verify._primitive((0, -4)) == (0, 1)
+    rank = verify._matrix_rank(MatrixSpec.combination(6, 1, 2, (1, 1)))
+    assert rank == predicted_rank(1, 2, 6, (1, 1))
+    assert rank == build_matrix(MatrixSpec.combination(6, 1, 2, (7, 7))).rank()
+    unit = verify._matrix_rank(MatrixSpec.combination(6, 1, 2, verify._primitive((0, 1))))
+    assert unit == predicted_rank(1, 2, 6, (0, 1)) == binomial(6, 1)
 
 
 def test_combination_rank_seeded_batch():
@@ -215,8 +218,19 @@ def test_basis_corollary_examples():
     r = check_trade_basis(0, 1, 3)
     assert r.summands == [((2, 1), 2, 2)] and r.passed
     # the literal three-condition set over-counts here: 3 specs of rank 2
-    assert r.extras["literal_cardinality"] == 3
-    assert r.extras["literal_rank"] == 2
+    audit = literal_basis_audit(0, 1, 3)
+    assert (audit.params["cardinality"], audit.computed) == (3, 2)
+
+
+def test_basis_standard_never_builds_the_literal_set(monkeypatch):
+    # Only the audit reads the literal set; (0, 1, 10) is warmed by no other test.
+    def refuse(t, k, n):
+        raise AssertionError("the literal set was built")
+
+    monkeypatch.setattr(verify, "literal_basis_specs", refuse)
+    assert check_trade_basis(0, 1, 10).passed
+    with pytest.raises(AssertionError, match="the literal set was built"):
+        literal_basis_audit(0, 1, 10)
 
 
 def test_shared_ranks_match_an_independent_reference():
@@ -224,11 +238,8 @@ def test_shared_ranks_match_an_independent_reference():
     for t, k, n in [(0, 1, 3), (0, 2, 4), (1, 2, 5), (1, 3, 4), (1, 2, 6)]:
         rows = [element_to_vector(e, k) for e in all_total_trades(t, k, n)]
         reference = binomial(n, k) - len(kernel_basis(RationalMatrix(rows)))
-        basis = check_trade_basis(t, k, n)
-        assert basis.extras["span_rank"] == check_total_trade_dim(t, k, n).computed == reference
+        assert check_total_trade_dim(t, k, n).computed == reference
         audit = literal_basis_audit(t, k, n)
-        assert audit.computed == basis.extras["literal_rank"]
-        assert audit.params["cardinality"] == basis.extras["literal_cardinality"]
         literal = [element_to_vector(total_trade(s), k) for s in literal_basis_specs(t, k, n)]
         assert audit.params["cardinality"] == len(literal)
         assert audit.computed == binomial(n, k) - len(kernel_basis(RationalMatrix(literal)))
@@ -259,9 +270,10 @@ def test_literal_rank_stops_at_the_span_rank(add_calls):
     # literal rank: once 48 literal trades are independent mod p the rank is
     # in, with no exact elimination.
     span = verify._span_rank(2, 3, 9)
-    verify._literal_rank.cache_clear()
     add_calls.clear()
-    assert verify._literal_rank(2, 3, 9) == (len(literal_basis_specs(2, 3, 9)), span)
+    audit = literal_basis_audit(2, 3, 9)
+    assert audit.params["cardinality"] == len(list(literal_basis_specs(2, 3, 9)))
+    assert audit.computed == span
     assert span == binomial(9, 3) - binomial(9, 2)
     assert add_calls == []
 
@@ -278,6 +290,9 @@ def test_literal_basis_specs_conditions():
         assert spec.xs[0] < spec.xs[1]
         assert spec.ys[0] < spec.ys[1]
         assert all(x < y for x, y in zip(spec.xs, spec.ys))
+    # t + k > n is rejected on the call, also where no pair set fits
+    with pytest.raises(ValueError):
+        literal_basis_specs(2, 4, 5)
 
 
 def test_graver_jurkat_examples():
@@ -465,7 +480,7 @@ def test_report_line_format():
     reports = [
         check_inclusion_rank(0, 1, 2),
         check_kernel_decomposition(0, 1, 2),
-        check_combination_rank(1, 2, 6, coeffs=(1, 0))[0],
+        check_combination_rank(1, 2, 6)[0],
     ]
     for r in reports:
         assert LINE_RE.match(r.line()), r.line()
