@@ -86,9 +86,10 @@ class RationalMatrix:
     def __repr__(self) -> str:
         return f"RationalMatrix({self.nrows}x{self.ncols})"
 
-    def rank(self) -> int:
-        """Exact rank over the rationals (the row rank)."""
-        return rank_of_columns(self._rows)
+    def rank(self, *, ceiling: int | None = None) -> int:
+        """Exact rank over the rationals (the row rank); `ceiling` is a
+        caller-proven upper bound, passed on to `rank_of_columns`."""
+        return rank_of_columns(self._rows, ceiling=ceiling)
 
     def matvec(self, v: Sequence) -> Vector:
         """Exact matrix-vector product."""

@@ -7,11 +7,22 @@ reproducible.  Every check returns one `Report`.  One ordered table maps
 each suite name to the reports it yields over its parameter domain; `SUITES`
 lists its names, and `all` runs the suites in that order.  Only ints are
 memoised, once per process: the span rank per (t, k, n), shared between
-`total-trade-dim`, `basis-standard` and `basis-literal-audit`, and the rank
+`total-trade-dim`, `basis-standard` and `basis-literal-audit`; the rank
 of each distinct `MatrixSpec`, shared between `inclusion-rank`,
 `kernel-decomposition`, `intersection-rank` and `combination-rank` (W_t is
-ranked once for the first three).  The span rank is the orbit span of one
-total trade, which the symmetric group carries onto every other up to sign.
+ranked once for the first three); and the killed-witness dimension per
+(killed strata, t, n).  When n = 2k, `combination-rank` ranks c and
+reversed c as one class: complementing the k-sets maps |A ∩ B| = l to
+t - l, so the two matrices have the same columns in another order.
+Every matrix rank is certified from both sides.  The mod-p certificate
+gives the floor, and left-kernel witnesses give the ceiling: y_0, the sum
+of all t-sets, and for 1 <= j <= t the first total trade of strength j - 1
+at grade t.  A witness with y^T W = 0 exactly is killed.  W is invariant
+under the symmetric group, so the orbit span of the sum of the killed
+witnesses lies in the left kernel, and the rank is at most C(n, t) minus
+its dimension.  Nothing here reads the predicted side.
+The span rank is the orbit span of one total trade, which the symmetric
+group carries onto every other up to sign.
 Every literal trade is a total trade, so the literal rank is certified
 modulo p up to the span rank as a ceiling and stops there.
 A report that reuses a rank shows `ms=0`, so per-suite `ms=` sums are not
@@ -117,7 +128,37 @@ def _require_half(t: int, k: int, n: int) -> None:
 
 @cache
 def _matrix_rank(spec: MatrixSpec) -> int:
-    return build_matrix(spec).rank()
+    # The certificate's floor meets the left-kernel witnesses' ceiling (see
+    # the module docstring); W[sA, sB] = W[A, B] for every permutation s.
+    m = build_matrix(spec)
+    t, n = spec.t, spec.n
+    rows = list(m.rows())
+    killed = tuple(
+        j for j in range(t + 1) if _kills(element_to_vector(_witness(j, t, n), t), rows)
+    )
+    return m.rank(ceiling=binomial(n, t) - _killed_dim(killed, t, n))
+
+
+def _witness(j: int, t: int, n: int) -> BooleanElement:
+    # A grade-t vector in stratum j: y_0 is the sum of all t-sets, and y_j for
+    # j >= 1 is the first total trade of strength j - 1, which is sparse.
+    if j == 0:
+        return BooleanElement(n, dict.fromkeys(colex_index(t, n), 1))
+    return _first_total_trade(j - 1, t, n)
+
+
+def _kills(y: Vector, rows: list[Vector]) -> bool:
+    # y^T W = 0 exactly: the signed sum of the rows y picks is zero.  For y_0
+    # that is the column sums.
+    picked = (r if c == 1 else [c * x for x in r] for c, r in zip(y, rows) if c)
+    return not any(map(sum, zip(*picked)))
+
+
+@cache
+def _killed_dim(killed: tuple[int, ...], t: int, n: int) -> int:
+    # The dimension of the orbit span of the killed witnesses' sum.
+    y = sum((_witness(j, t, n) for j in killed), BooleanElement.zero(n))
+    return orbit_span(y, t).rank
 
 
 def _first_total_trade(t: int, k: int, n: int) -> BooleanElement:
@@ -251,6 +292,13 @@ def _primitive(coeffs: Sequence) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
+def _combination_key(coeffs: Sequence, k: int, n: int) -> tuple[int, ...]:
+    # When n = 2k, complementing the k-sets maps |A ∩ B| = l to t - l, so
+    # W(reversed c) has the columns of W(c) in another order: one class.
+    key = _primitive(coeffs)
+    return min(key, _primitive(coeffs[::-1])) if n == 2 * k else key
+
+
 _COMBINATION_SEEDS = 20  # seeded random coefficient vectors per (t, k, n)
 
 
@@ -262,9 +310,10 @@ def check_combination_rank(t: int, k: int, n: int, seed: int = 0) -> list[Report
     grid {-2,-1,1,2}^(t+1), whose sign patterns can silence individual
     isotypic blocks.  Since rank(λW) = rank(W) for λ ≠ 0, each matrix is
     specified by the primitive integer representative of its projective
-    class, so each class is built and ranked once per process; every report
-    keeps its own coefficients and prediction, and a report that reuses a
-    rank shows ms=0.
+    class; when n = 2k the class of the reversed vector is merged with it
+    (`_combination_key`).  Each class is built and ranked once per process;
+    every report keeps its own coefficients and prediction, and a report
+    that reuses a rank shows ms=0.
     """
     _require_half(t, k, n)
     rng = random.Random(_seed_from("combination", t, k, n, seed))
@@ -273,12 +322,13 @@ def check_combination_rank(t: int, k: int, n: int, seed: int = 0) -> list[Report
     reports = []
     for cs in vectors:
         start = time.perf_counter()
+        spec = MatrixSpec.combination(n, t, k, _combination_key(cs, k, n))
         reports.append(
             Report(
                 "combination-rank",
                 {"t": t, "k": k, "n": n, "coeffs": cs},
                 predicted=predicted_rank(t, k, n, cs),
-                computed=_matrix_rank(MatrixSpec.combination(n, t, k, _primitive(cs))),
+                computed=_matrix_rank(spec),
                 elapsed_ms=_ms(start),
             )
         )

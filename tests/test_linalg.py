@@ -162,6 +162,16 @@ def test_ceiling_zero_answers_zero_at_once():
         rank_of_columns([(1,)], ceiling=-1)
 
 
+def test_matrix_rank_passes_the_ceiling_on():
+    m = build_matrix(MatrixSpec.combination(6, 1, 3, (1, 1)))  # all ones: rank 1
+    assert m.rank(ceiling=1) == m.rank() == 1
+    assert m.rank(ceiling=0) == 0
+    with pytest.raises(ValueError, match="ceiling must be nonnegative, got -1"):
+        m.rank(ceiling=-1)
+    with pytest.raises(TypeError):
+        m.rank(1)
+
+
 def test_rank_of_columns_permutation_invariant():
     rng = random.Random(5)
     vectors = [tuple(rng.randint(-4, 4) for _ in range(6)) for _ in range(8)]

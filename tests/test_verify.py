@@ -178,10 +178,10 @@ def test_combination_rank_one_matrix_per_projective_class(monkeypatch):
 
     verify._matrix_rank.cache_clear()
     monkeypatch.setattr(verify, "build_matrix", counting_build)
-    # the {-2,-1,1,2}^(t+1) grid has 1, 6 and 28 projective classes; with the
-    # random vectors, each class is built once from its primitive
-    # representative, and once per process
-    for t, k, n, classes in [(0, 1, 2, 1), (1, 2, 4, 6), (2, 3, 6, 28)]:
+    # At odd n the {-2,-1,1,2}^(t+1) grid has 6 and 28 projective classes;
+    # with the random vectors, each class is built once from its primitive
+    # representative, and once per process.
+    for t, k, n, classes in [(1, 2, 5, 6), (2, 3, 7, 28)]:
         builds.clear()
         reports = check_combination_rank(t, k, n)
         assert len(reports) == 20 + 4 ** (t + 1)
@@ -194,6 +194,93 @@ def test_combination_rank_one_matrix_per_projective_class(monkeypatch):
         builds.clear()
         assert len(check_combination_rank(t, k, n)) == 20 + 4 ** (t + 1)
         assert builds == []
+    # At n = 2k the grid's 1, 6 and 28 projective classes merge with their
+    # reversals into 1, 4 and 17 complement classes, each built once from
+    # the smaller of the two primitive representatives.
+    for t, k, n, classes, merged in [(0, 1, 2, 1, 1), (1, 2, 4, 6, 4), (2, 3, 6, 28, 17)]:
+        builds.clear()
+        coeffs = [r.params["coeffs"] for r in check_combination_rank(t, k, n)]
+        assert len(coeffs) == 20 + 4 ** (t + 1)
+        assert len({verify._primitive(cs) for cs in coeffs[20:]}) == classes
+        assert len({verify._combination_key(cs, k, n) for cs in coeffs[20:]}) == merged
+        keys = {min(verify._primitive(cs), verify._primitive(cs[::-1])) for cs in coeffs}
+        assert len(builds) == len(set(builds)) == len(keys)
+        assert set(builds) == keys
+        builds.clear()
+        assert len(check_combination_rank(t, k, n)) == 20 + 4 ** (t + 1)
+        assert builds == []
+
+
+def test_complement_reverses_the_columns_at_n_2k():
+    # Complementing the k-sets maps |A ∩ B| = l to t - l when n = 2k, so
+    # W(reversed c) is W(c) with its columns reordered.
+    rng = random.Random(5)
+    for t, k, n in [(1, 2, 4), (2, 3, 6), (2, 4, 8), (3, 4, 8)]:
+        for _ in range(3):
+            cs = tuple(rng.randint(-3, 3) for _ in range(t + 1))
+            while cs == cs[::-1]:
+                cs = tuple(rng.randint(-3, 3) for _ in range(t + 1))
+            w = build_matrix(MatrixSpec.combination(n, t, k, cs))
+            reversed_w = build_matrix(MatrixSpec.combination(n, t, k, cs[::-1]))
+            assert w != reversed_w
+            assert sorted(zip(*w.rows())) == sorted(zip(*reversed_w.rows()))
+
+
+def _echelon_rank(spec):
+    ech = IntegerEchelon(binomial(spec.n, spec.k))
+    for row in build_matrix(spec).rows():
+        ech.add(row)
+    return ech.rank
+
+
+def _combination_classes(n_max):
+    # Every (t, k, n, key) that combination-rank ranks at n <= n_max.
+    for t, k, n in verify._half_domain(n_max):
+        reports = check_combination_rank(t, k, n)
+        for key in sorted({verify._combination_key(r.params["coeffs"], k, n) for r in reports}):
+            yield t, k, n, key
+
+
+def test_witness_ceiling_ranks_match_a_plain_echelon(add_calls):
+    # Every class at n <= 8 gets the rank of one IntegerEchelon pass over
+    # its rows, and the witness ceiling settles each one mod p: no row of
+    # W, of length C(n, k), reaches IntegerEchelon.  The witnesses' orbit
+    # spans have length C(n, t) < C(n, k).
+    classes = list(_combination_classes(8))
+    assert len(classes) == 425  # 512 projective classes, 87 merged at n = 2k
+    verify._matrix_rank.cache_clear()
+    for t, k, n, key in classes:
+        spec = MatrixSpec.combination(n, t, k, key)
+        add_calls.clear()
+        rank = verify._matrix_rank(spec)
+        assert all(len(v) < binomial(n, k) for v in add_calls), (t, k, n, key)
+        assert rank == _echelon_rank(spec), (t, k, n, key)
+
+
+def test_a_ceiling_one_stratum_too_low_is_caught(monkeypatch):
+    # Fault injection: count one stratum more as killed than the witnesses
+    # show.  The ceiling then falls below the true rank, and the certificate
+    # stops at it, so the rank no longer matches a plain echelon pass.
+    killed_dim = verify._killed_dim
+    ceilings = []
+
+    def one_too_many(killed, t, n):
+        extra = next(j for j in range(t + 1) if j not in killed)
+        dim = killed_dim(tuple(sorted({*killed, extra})), t, n)
+        ceilings.append(binomial(n, t) - dim)
+        return dim
+
+    monkeypatch.setattr(verify, "_killed_dim", one_too_many)
+    verify._matrix_rank.cache_clear()
+    try:
+        for t, k, n, key in [(1, 2, 4, (1, 1)), (2, 3, 6, (1, -2, 1)), (2, 3, 7, (1, 0, 0))]:
+            spec = MatrixSpec.combination(n, t, k, key)
+            rank = verify._matrix_rank(spec)
+            reference = _echelon_rank(spec)
+            assert ceilings[-1] < reference
+            assert rank == ceilings[-1] != reference
+    finally:
+        verify._matrix_rank.cache_clear()
 
 
 def test_matrix_suites_rank_each_matrix_once():
