@@ -11,6 +11,7 @@ of them) and computes the alternating-sum coefficients that predict its rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -264,16 +265,19 @@ def build_matrix(spec: MatrixSpec) -> RationalMatrix:
         raise ValueError(f"{nrows}x{ncols} matrix exceeds the limit of {_MAX_CELLS} cells")
     row_masks = [_mask(s) for s in colex_index(spec.t, spec.n)]
     col_masks = [_mask(s) for s in colex_index(spec.k, spec.n)]
-    coeffs = spec.coeffs
+    coeffs = spec.coeffs  # already exact: `MatrixSpec.__post_init__` saw to it
     rows = [[coeffs[(a & b).bit_count()] for b in col_masks] for a in row_masks]
-    return RationalMatrix(rows, len(col_masks))
+    return RationalMatrix._make(rows, len(col_masks))
 
 
+@cache
 def lambda_coeff(t: int, k: int, n: int, l: int, j: int) -> int:
     """Alternating binomial sum deciding which isotypic blocks survive.
 
     lambda_j(t,k,n;l) = sum_s (-1)^(j-s) C(j,s) C(k-s,l-s) C(n-k-j+s,t-l-j+s),
-    evaluated with the vanishing binomial convention.
+    evaluated with the vanishing binomial convention.  Each value is cached,
+    since `predicted_rank` asks for the same ones for every coefficient
+    vector of a (t, k, n).
     """
     if not 0 <= l <= t:
         raise ValueError(f"need 0 <= l <= t, got l={l} t={t}")

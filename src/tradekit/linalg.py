@@ -64,6 +64,16 @@ class RationalMatrix:
         self.ncols = ncols
         self._rows = data
 
+    @classmethod
+    def _make(cls, rows: list[list[Scalar]], ncols: int) -> RationalMatrix:
+        # Fast path for internal callers whose rows are already exact, each
+        # a fresh list of `ncols` cells: no `exact` per cell.
+        self = cls.__new__(cls)
+        self.nrows = len(rows)
+        self.ncols = ncols
+        self._rows = rows
+        return self
+
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
@@ -124,7 +134,7 @@ class IntegerEchelon:
             raise ValueError(f"dimension mismatch: expected {self.dim}, got {len(vec)}")
         v = {j: x for j, x in enumerate(vec) if x}
         if any(type(x) is not int for x in v.values()):
-            v = {j: y for j, x in v.items() if (y := exact(x))}
+            v = {j: y for j, x in v.items() if (y := Fraction(x))}
             m = lcm(*(x.denominator for x in v.values()))
             v = {j: x.numerator * (m // x.denominator) for j, x in v.items()}
         for pc, row in zip(self._pivots, self._rows):
@@ -190,13 +200,18 @@ def _independent_mod_p(
     if the vectors run out first, the rank is settled only when none was
     skipped.
 
+    There is no separate type pass: packing takes each coordinate mod `_P`
+    into an unsigned 64-bit slot, which raises `TypeError` for any cell that
+    is not an int (a `Fraction` or a float stays one after `% _P`), and that
+    answers None.  Negative ints and ints of any size pack as their residues.
+
     Each vector is one int with a `_SLOT`-bit slot per coordinate.  A
     stored row has entries in [0, p) with 1 at its pivot and 0 at every
     earlier pivot, so reducing by the rows in insertion order clears every
     pivot.  Slots are not reduced while a vector is being reduced: after r
     row operations they stay below (p-1)(1 + r(p-1)), which is below 2^64
     for every r < 2^32, so no carry crosses a slot.  Only a reduced vector
-    is unpacked.
+    is unpacked, and it is scanned only up to its pivot.
     """
     dim = None
     mask = (1 << _SLOT) - 1
@@ -205,25 +220,28 @@ def _independent_mod_p(
         seen.append(v)
         if dim is None:
             dim = len(v)
-        if len(v) != dim or any(type(x) is not int for x in v):
+        if len(v) != dim:
             return None
         if ceiling is None and len(seen) > dim:
             return None
-        w = _pack(v)
+        try:
+            w = _pack(v)
+        except TypeError:
+            return None
         for shift, row in rows:
             c = ((w >> shift) & mask) % _P
             if c:
                 w += (_P - c) * row
-        packed = w.to_bytes(dim * _SLOT // 8, sys.byteorder)
-        slots = [x % _P for x in memoryview(packed).cast("Q")]
-        pivot = next((j for j, x in enumerate(slots) if x), None)
+        slots = memoryview(w.to_bytes(dim * _SLOT // 8, sys.byteorder)).cast("Q")
+        pivot = next((j for j, x in enumerate(slots) if x % _P), None)
         if pivot is None:
             if ceiling is None:
                 return None
             continue
         inv = pow(slots[pivot], -1, _P)
         shift = _SLOT * (pivot if sys.byteorder == "little" else dim - 1 - pivot)
-        rows.append((shift, _pack([x * inv for x in slots])))
+        row = array("Q", [x * inv % _P for x in slots])
+        rows.append((shift, int.from_bytes(row.tobytes(), sys.byteorder)))
         if len(rows) == ceiling:
             return ceiling
     return len(rows) if len(rows) == len(seen) else None

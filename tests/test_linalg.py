@@ -10,6 +10,7 @@ from tradekit.boolean_algebra import MatrixSpec, build_matrix
 from tradekit.linalg import (
     IntegerEchelon,
     RationalMatrix,
+    _independent_mod_p,
     in_span,
     rank_of_columns,
     render_dense,
@@ -110,6 +111,37 @@ def test_full_rank_certificate_answers_alone(add_calls):
     # rows that are dependent mod 65521 go to the exact elimination
     assert rank_of_columns([(65521, 1), (0, 65521)]) == 2
     assert len(add_calls) == 2
+
+
+def test_certificate_type_check_is_folded_into_packing(add_calls):
+    # The first vector with a Fraction or float cell ends the certificate,
+    # integral ones included; negative ints and ints of 2^64 and more are
+    # certified as their residues mod p.
+    for bad in (Fraction(1, 2), Fraction(4), 0.5, 2.0):
+        vectors = [(1, 0, 0), (0, bad, 1), (0, 0, 1)]
+        for ceiling in (None, 3):
+            seen = []
+            assert _independent_mod_p(iter(vectors), seen, ceiling) is None
+            assert seen == vectors[:2]
+    big = 2**64 + 3
+    for vectors in (
+        [(-1, 0, 2), (0, -7, 1), (3, 1, -65522)],
+        [(big, 1, 0), (0, big, 1), (2**70, 0, -(2**65))],
+    ):
+        assert _independent_mod_p(iter(vectors), []) == 3
+        assert rank_of_columns(vectors) == 3
+    assert add_calls == []
+    # the exact elimination gives the same ranks as the reference
+    for vectors in (
+        [(-1, 2), (2, -4)],
+        [(big, -1), (-big, 1)],
+        [(65521 * 2**64, 0), (0, -1)],
+        [(1, 0), (Fraction(1, 2), 1), (-(2**80), 3)],
+        [(0.5, 1), (1, 2.0)],
+    ):
+        reference = 2 - len(kernel_basis(RationalMatrix(vectors)))
+        assert rank_of_columns(vectors) == reference
+        assert rank_of_columns(vectors, ceiling=2) == reference
 
 
 def test_ceiling_reached_answers_alone(add_calls):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from linalg_reference import kernel_basis
-from tradekit import verify
+from tradekit import linalg, verify
 from tradekit.boolean_algebra import (
     BooleanElement,
     MatrixSpec,
@@ -283,6 +283,35 @@ def test_a_ceiling_one_stratum_too_low_is_caught(monkeypatch):
         verify._matrix_rank.cache_clear()
 
 
+def test_rank_path_calls_exact_on_no_cell(monkeypatch):
+    # build_matrix hands the spec's coefficients, which MatrixSpec already
+    # made exact, to the private constructor, and no rank step converts a
+    # cell either; the public constructor still makes user input exact.
+    specs = [
+        MatrixSpec.combination(6, 2, 3, (1, -2, 1)),
+        MatrixSpec.combination(5, 1, 2, (Fraction(1, 2), 3)),
+    ]
+    references = [_echelon_rank(spec) for spec in specs]
+
+    def refuse(x):
+        raise AssertionError("exact was called")
+
+    monkeypatch.setattr(linalg, "exact", refuse)
+    verify._matrix_rank.cache_clear()
+    try:
+        matrices = [build_matrix(spec) for spec in specs]
+        ranks = [verify._matrix_rank(spec) for spec in specs]
+    finally:
+        verify._matrix_rank.cache_clear()
+    monkeypatch.undo()
+    assert ranks == references
+    for m in matrices:
+        assert m == RationalMatrix(list(m.rows()))
+    assert Fraction(1, 2) in matrices[1].row(0)
+    half = RationalMatrix([[0.5]]).entry(0, 0)
+    assert type(half) is Fraction and half == Fraction(1, 2)
+
+
 def test_matrix_suites_rank_each_matrix_once():
     # W_t = W(e_t) is ranked by inclusion-rank and reused by
     # kernel-decomposition and by intersection-rank at l = t.
@@ -363,6 +392,33 @@ def test_literal_rank_stops_at_the_span_rank(add_calls):
     assert audit.computed == span
     assert span == binomial(9, 3) - binomial(9, 2)
     assert add_calls == []
+
+
+def test_literal_audit_pulls_only_the_standard_fillings(monkeypatch):
+    # The standard fillings are ranked first and are independent mod p, so
+    # the certificate reaches the span rank right after them; on the
+    # boundary (2, 7, 9) the span rank is 0 and nothing is pulled.
+    pulls = []
+
+    def counting(vectors, **kwargs):
+        pulled = []
+        rank = rank_of_columns((pulled.append(v) or v for v in vectors), **kwargs)
+        pulls.append(len(pulled))
+        return rank
+
+    monkeypatch.setattr(verify, "rank_of_columns", counting)
+    for k in range(3, 8):
+        span = check_total_trade_dim(2, k, 9).computed
+        audit = literal_basis_audit(2, k, 9)
+        assert pulls[-1] == audit.computed == span == (48 if k < 7 else 0)
+        assert audit.params["cardinality"] == len(list(literal_basis_specs(2, k, 9)))
+
+
+def test_standard_fillings_are_literal_specs():
+    for t, k, n in verify._sum_domain(9):
+        if n - t - 1 >= t + 1:
+            literal = set(literal_basis_specs(t, k, n))
+            assert all(spec in literal for spec, _ in total_trade_basis(t, k, n)), (t, k, n)
 
 
 def test_total_trade_dim_rejects_bad_tuples_on_every_call():
