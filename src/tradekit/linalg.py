@@ -16,7 +16,8 @@ A caller that has proved an upper bound on the rank passes it as `ceiling`;
 then the certificate skips vectors that are dependent mod p and answers as
 soon as `ceiling` of them are independent, since
 rank_Q >= rank_p = ceiling >= rank_Q.  Everything else goes to
-`IntegerEchelon`.
+`IntegerEchelon`.  The certificate's one mod-p eliminator, `_EchelonModP`,
+also gives `verify` the floor of its orbit-span certificate.
 The plain rational reduction that the rank is tested against lives with the
 tests, not here.
 Text is output only: `render_dense` and `render_sparse` write the two matrix
@@ -185,6 +186,54 @@ def _pack(v: Sequence[int]) -> int:
     return int.from_bytes(array("Q", [x % _P for x in v]).tobytes(), sys.byteorder)
 
 
+class _EchelonModP:
+    """Row echelon form modulo `_P` of packed integer vectors, the one mod-p
+    eliminator.
+
+    Each vector is one int with a `_SLOT`-bit slot per coordinate; packing
+    takes each coordinate mod `_P`, which raises `TypeError` for any cell
+    that is not an int (a `Fraction` or a float stays one after `% _P`).
+    Negative ints and ints of any size pack as their residues.  A stored
+    row has entries in [0, p) with 1 at its pivot and 0 at every earlier
+    pivot, so reducing by the rows in insertion order clears every pivot.
+    Slots are not reduced while a vector is being reduced: after r row
+    operations they stay below (p-1)(1 + r(p-1)), which is below 2^64 for
+    every r < 2^32, so no carry crosses a slot.  Only a reduced vector is
+    unpacked, and it is scanned only up to its pivot.
+    """
+
+    __slots__ = ("dim", "rows")
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.rows: list[tuple[int, int]] = []  # (shift of the pivot slot, packed row)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def add(self, v: Sequence[int]) -> array | None:
+        """Reduce an integer vector of length `dim`; if it is nonzero mod
+        `_P`, store it normalised to a leading 1 and return its slots, else
+        return None."""
+        dim = self.dim
+        mask = (1 << _SLOT) - 1
+        w = _pack(v)
+        for shift, row in self.rows:
+            c = ((w >> shift) & mask) % _P
+            if c:
+                w += (_P - c) * row
+        slots = memoryview(w.to_bytes(dim * _SLOT // 8, sys.byteorder)).cast("Q")
+        pivot = next((j for j, x in enumerate(slots) if x % _P), None)
+        if pivot is None:
+            return None
+        inv = pow(slots[pivot], -1, _P)
+        shift = _SLOT * (pivot if sys.byteorder == "little" else dim - 1 - pivot)
+        row = array("Q", [x * inv % _P for x in slots])
+        self.rows.append((shift, int.from_bytes(row.tobytes(), sys.byteorder)))
+        return row
+
+
 def _independent_mod_p(
     vectors: Iterator[Sequence], seen: list, ceiling: int | None = None
 ) -> int | None:
@@ -198,53 +247,30 @@ def _independent_mod_p(
     ceiling a vector that reduces to zero is skipped, and the answer comes as
     soon as `ceiling` vectors are independent, before the next one is pulled;
     if the vectors run out first, the rank is settled only when none was
-    skipped.
-
-    There is no separate type pass: packing takes each coordinate mod `_P`
-    into an unsigned 64-bit slot, which raises `TypeError` for any cell that
-    is not an int (a `Fraction` or a float stays one after `% _P`), and that
-    answers None.  Negative ints and ints of any size pack as their residues.
-
-    Each vector is one int with a `_SLOT`-bit slot per coordinate.  A
-    stored row has entries in [0, p) with 1 at its pivot and 0 at every
-    earlier pivot, so reducing by the rows in insertion order clears every
-    pivot.  Slots are not reduced while a vector is being reduced: after r
-    row operations they stay below (p-1)(1 + r(p-1)), which is below 2^64
-    for every r < 2^32, so no carry crosses a slot.  Only a reduced vector
-    is unpacked, and it is scanned only up to its pivot.
+    skipped.  A non-int cell raises `TypeError` in `_EchelonModP.add`, and
+    that answers None.
     """
-    dim = None
-    mask = (1 << _SLOT) - 1
-    rows: list[tuple[int, int]] = []  # (shift of the pivot slot, packed row)
+    ech = None
     for v in vectors:
         seen.append(v)
-        if dim is None:
-            dim = len(v)
-        if len(v) != dim:
+        if ech is None:
+            ech = _EchelonModP(len(v))
+        if len(v) != ech.dim:
             return None
-        if ceiling is None and len(seen) > dim:
+        if ceiling is None and len(seen) > ech.dim:
             return None
         try:
-            w = _pack(v)
+            row = ech.add(v)
         except TypeError:
             return None
-        for shift, row in rows:
-            c = ((w >> shift) & mask) % _P
-            if c:
-                w += (_P - c) * row
-        slots = memoryview(w.to_bytes(dim * _SLOT // 8, sys.byteorder)).cast("Q")
-        pivot = next((j for j, x in enumerate(slots) if x % _P), None)
-        if pivot is None:
+        if row is None:
             if ceiling is None:
                 return None
             continue
-        inv = pow(slots[pivot], -1, _P)
-        shift = _SLOT * (pivot if sys.byteorder == "little" else dim - 1 - pivot)
-        row = array("Q", [x * inv % _P for x in slots])
-        rows.append((shift, int.from_bytes(row.tobytes(), sys.byteorder)))
-        if len(rows) == ceiling:
+        if ech.rank == ceiling:
             return ceiling
-    return len(rows) if len(rows) == len(seen) else None
+    rank = ech.rank if ech else 0
+    return rank if rank == len(seen) else None
 
 
 def rank_of_columns(vectors: Iterable[Sequence], *, ceiling: int | None = None) -> int:

@@ -6,24 +6,36 @@ Randomness is always seeded from the check's own parameters so reruns are
 reproducible.  Every check returns one `Report`.  One ordered table maps
 each suite name to the reports it yields over its parameter domain; `SUITES`
 lists its names, and `all` runs the suites in that order.  Only ints and
-int tuples are memoised, once per process: the span rank per (t, k, n),
-shared between `total-trade-dim`, `basis-standard` and
-`basis-literal-audit`; the rank of each distinct `MatrixSpec`, shared
-between `inclusion-rank`, `kernel-decomposition`, `intersection-rank` and
-`combination-rank` (W_t is ranked once for the first three); each
-left-kernel witness as an int tuple per (j, t, n); and the killed-witness
-dimension per (killed strata, t, n).  On the predicted side
+int tuples are memoised, once per process: the independent spun vectors of
+each stratum per (j, k, n), whose count is the span rank shared between
+`total-trade-dim`, `basis-standard` and `basis-literal-audit`; the
+once-per-(k, n) check that the strata are orthogonal; the rank of each
+distinct `MatrixSpec`, shared between `inclusion-rank`,
+`kernel-decomposition`, `intersection-rank` and `combination-rank` (W_t is
+ranked once for the first three); and each left-kernel witness as an int
+tuple per (j, t, n).  On the predicted side
 `boolean_algebra.lambda_coeff` caches its values.  When n = 2k,
 `combination-rank` ranks c and reversed c as one class: complementing the
 k-sets maps |A ∩ B| = l to t - l, so the two matrices have the same columns
 in another order.
+The strata of grade k <= n/2 are j = 0..k: stratum 0 is spanned by y_0, the
+sum of all k-sets, and stratum j >= 1 by the permutations of y_j, the first
+total trade of strength j - 1.  Each is spun exactly once, and the spin
+must hold a second total trade of the stratum.  Each y_j is checked to be
+exactly orthogonal to every later stratum; both are invariant under the
+symmetric group, so the strata are orthogonal in pairs.  Nothing here reads
+the predicted side or relies on Theorem 1.
 Every matrix rank is certified from both sides.  The mod-p certificate
-gives the floor, and left-kernel witnesses give the ceiling: y_0, the sum
-of all t-sets, and for 1 <= j <= t the first total trade of strength j - 1
-at grade t.  A witness with y^T W = 0 exactly is killed.  W is invariant
-under the symmetric group, so the orbit span of the sum of the killed
-witnesses lies in the left kernel, and the rank is at most C(n, t) minus
-its dimension.  Nothing here reads the predicted side.
+gives the floor, and left-kernel witnesses give the ceiling: a witness y_j
+at grade t with y_j^T W = 0 exactly is killed.  W is invariant under the
+symmetric group, so each killed stratum lies in the left kernel, and the
+rank is at most C(n, t) minus the killed strata's dimensions.
+Every orbit span is certified the same way.  A witness e exactly orthogonal
+to a set K of strata has its whole orbit orthogonal to them, so the orbit
+rank is at most C(n, k) minus their dimensions; the orbit spun to closure
+modulo 65521 gives the floor.  A floor equal to the ceiling makes the span
+the sum of the strata outside K, a floor above it raises, and a floor
+below it falls back to the exact spin.
 The span rank is the orbit span of one total trade, which the symmetric
 group carries onto every other up to sign.
 Every literal trade is a total trade, so the literal rank is certified
@@ -35,7 +47,7 @@ The orbit checks spin a span under the two generators (1 2) and
 (1 2 ... n) of the symmetric group, acting on grade-k coordinates through
 maps read from the shared colex table.  That span is invariant, so it holds
 a whole total-trade stratum exactly when it holds one total trade of it,
-and each stratum is tested with one trade.
+and the exact fallback tests each stratum with one trade.
 """
 
 from __future__ import annotations
@@ -56,10 +68,11 @@ from .boolean_algebra import (
     build_matrix,
     element_to_vector,
     lambda_coeff,
+    permute_element,
     predicted_rank,
 )
-from .combinatorics import binomial, colex_index
-from .linalg import IntegerEchelon, Vector, rank_of_columns
+from .combinatorics import Permutation, binomial, colex_index
+from .linalg import IntegerEchelon, Vector, _EchelonModP, rank_of_columns
 from .specht import TwoRowShape, specht_dim
 from .trades import (
     TradeSpec,
@@ -144,6 +157,7 @@ def _matrix_rank(spec: MatrixSpec) -> int:
 def _witness(j: int, t: int, n: int) -> BooleanElement:
     # A grade-t vector in stratum j: y_0 is the sum of all t-sets, and y_j for
     # j >= 1 is the first total trade of strength j - 1, which is sparse.
+    # `_stratum` reads the same witnesses at any grade.
     if j == 0:
         return BooleanElement(n, dict.fromkeys(colex_index(t, n), 1))
     return _first_total_trade(j - 1, t, n)
@@ -162,11 +176,11 @@ def _kills(y: Vector, rows: list[Vector]) -> bool:
     return not any(map(sum, zip(*picked)))
 
 
-@cache
 def _killed_dim(killed: tuple[int, ...], t: int, n: int) -> int:
-    # The dimension of the orbit span of the killed witnesses' sum.
-    y = sum((_witness(j, t, n) for j in killed), BooleanElement.zero(n))
-    return orbit_span(y, t).rank
+    # The dimension of the sum of the killed strata, which are pairwise
+    # orthogonal and so independent.
+    _require_orthogonal_strata(t, n)
+    return sum(len(_stratum(j, t, n)) for j in killed)
 
 
 def _first_total_trade(t: int, k: int, n: int) -> BooleanElement:
@@ -179,9 +193,42 @@ def _first_total_trade(t: int, k: int, n: int) -> BooleanElement:
 
 
 @cache
+def _stratum(j: int, k: int, n: int) -> tuple[tuple[int, ...], ...]:
+    # The independent spun vectors of the orbit span of witness y_j at grade
+    # k.  Spinning from the generators gives the whole stratum only if they
+    # generate S_n, so a second total trade of the stratum, on the top 2j
+    # elements with nested pairs {n-2j+1, n}, {n-2j+2, n-1}, ..., must lie
+    # in the span.  No power of the n-cycle carries the first trade's pairs
+    # {1, 2}, {3, 4}, ... there once j >= 2.
+    y = _witness(j, k, n)
+    ech, spun = _spin(element_to_vector(y, k), _generator_maps(k, n))
+    if 1 <= j and 2 * j <= n:
+        top = [x for i in range(j) for x in (n - 2 * j + 1 + i, n - i)]
+        second = permute_element(Permutation(n, top + list(range(1, n - 2 * j + 1))), y)
+        if not ech.contains(element_to_vector(second, k)):
+            raise VerificationError(
+                f"stratum {j} at k={k} n={n}: the spun span of rank {ech.rank} "
+                "misses the total trade on the top elements"
+            )
+    return tuple(map(tuple, spun))
+
+
+@cache
+def _require_orthogonal_strata(k: int, n: int) -> None:
+    # Each witness y_j is exactly orthogonal to every later stratum.  Both
+    # the strata and the dot product are S_n-invariant, so then the strata
+    # are orthogonal in pairs, hence independent.  Needs k <= n/2, where
+    # the strata are j = 0..k.
+    for j in range(k + 1):
+        orthogonal = _orthogonal_strata(_witness_vector(j, k, n), k, n)
+        for i in range(j + 1, k + 1):
+            if i not in orthogonal:
+                raise VerificationError(f"strata {j} and {i} at k={k} n={n} are not orthogonal")
+
+
 def _span_rank(t: int, k: int, n: int) -> int:
     # Rank of all total trades: the orbit span of the first one.
-    return orbit_span(_first_total_trade(t, k, n), k).rank
+    return len(_stratum(t + 1, k, n))
 
 
 def _strata_dim(strata: Iterable[int], n: int) -> int:
@@ -233,25 +280,31 @@ def check_kernel_decomposition(t: int, k: int, n: int) -> Report:
     """The t-trade space splits into the total-trade strata i = t..k-1.
 
     Checks stratum-by-stratum kernel membership, dimensions, and that the
-    concatenated bases are independent and fill the whole null space.
+    concatenated bases are independent and fill the whole null space.  The
+    kernel of W_tk is S_n-invariant and every total trade of a stratum is
+    +- an image of the first, so one product per stratum tests membership.
+    When the concatenated bases are independent, so is each stratum's.
     """
     _require_half(t, k, n)
     start = time.perf_counter()
     spec = MatrixSpec.inclusion(n, t, k)
     w = build_matrix(spec)
     kernel_dim = binomial(n, k) - _matrix_rank(spec)
-    summands = []
-    containment = []
-    all_vectors = []
-    for i in range(t, k):
-        vectors = _basis_vectors(i, k, n)
-        in_kernel = all(all(x == 0 for x in w.matvec(v)) for v in vectors)
-        summands.append(
-            ((n - i - 1, i + 1), specht_dim(TwoRowShape(n - i - 1, i + 1)), rank_of_columns(vectors))
-        )
-        containment.append(in_kernel)
-        all_vectors.extend(vectors)
+    strata = [_basis_vectors(i, k, n) for i in range(t, k)]
+    containment = [
+        not any(w.matvec(element_to_vector(_first_total_trade(i, k, n), k))) for i in range(t, k)
+    ]
+    all_vectors = [v for vectors in strata for v in vectors]
     concat_rank = rank_of_columns(all_vectors)
+    independent = concat_rank == len(all_vectors)
+    summands = [
+        (
+            (n - i - 1, i + 1),
+            specht_dim(TwoRowShape(n - i - 1, i + 1)),
+            len(vectors) if independent else rank_of_columns(vectors),
+        )
+        for i, vectors in zip(range(t, k), strata)
+    ]
     predicted = binomial(n, k) - binomial(n, t)
     return Report(
         "kernel-decomposition",
@@ -430,30 +483,62 @@ def _generator_maps(k: int, n: int) -> list[list[int]]:
     return [[index[tuple(sorted(g.get(x, x) for x in s))] for s in index] for g in inverses]
 
 
-def orbit_span(e: BooleanElement, k: int) -> IntegerEchelon:
-    """Span of the symmetric-group orbit of a grade-k element, computed by
-    spinning: each new span vector has its images under the two generators
-    (1 2) and (1 2 ... n) of S_n reduced, until no image grows the span."""
-    maps = _generator_maps(k, e.n)
-    ech = IntegerEchelon(binomial(e.n, k))
-    v0 = list(element_to_vector(e, k))
-    ech.add(v0)
-    spun = [v0]
+def _spin(v0: Vector, maps: list[list[int]]) -> tuple[IntegerEchelon, list[list[int]]]:
+    # The span of v0 closed under the coordinate maps, and the vectors that
+    # grew it.
+    ech = IntegerEchelon(len(v0))
+    spun = [list(v0)] if ech.add(v0) else []
     for v in spun:  # grows while walked, so each new span vector is spun once
         for m in maps:
             w = [v[p] for p in m]
             if ech.add(w):
                 spun.append(w)
-    return ech
+    return ech, spun
+
+
+def _orbit_rank_mod_p(v0: Vector, maps: list[list[int]]) -> int:
+    # The rank mod p of the span of v0 closed under the maps.  The span mod p
+    # of the orbit's integer vectors has at most their rank over Q.
+    ech = _EchelonModP(len(v0))
+    row = ech.add(v0)
+    spun = [] if row is None else [row]
+    for r in spun:
+        for m in maps:
+            row = ech.add([r[p] for p in m])
+            if row is not None:
+                spun.append(row)
+    return ech.rank
+
+
+def _orthogonal_strata(v: Vector, k: int, n: int) -> tuple[int, ...]:
+    # The strata j = 0..k that v is exactly orthogonal to.
+    terms = [(p, c) for p, c in enumerate(v) if c]
+    return tuple(
+        j
+        for j in range(k + 1)
+        if not any(sum(c * w[p] for p, c in terms) for w in _stratum(j, k, n))
+    )
+
+
+def orbit_span(e: BooleanElement, k: int) -> IntegerEchelon:
+    """Span of the symmetric-group orbit of a grade-k element, computed by
+    spinning: each new span vector has its images under the two generators
+    (1 2) and (1 2 ... n) of S_n reduced, until no image grows the span."""
+    return _spin(element_to_vector(e, k), _generator_maps(k, e.n))[0]
 
 
 def orbit_decomposition(e: BooleanElement, t: int) -> set[int]:
     """Strata indices i with the whole total-trade stratum inside the orbit span.
 
-    The orbit span is S_n-invariant, so it holds the whole stratum i exactly
-    when it holds one total trade of it, the first spec's.  Also asserts
-    that the strata found account exactly for the span's dimension; a
-    mismatch raises VerificationError.
+    Certified from both sides (see the module docstring): the strata that e
+    is exactly orthogonal to bound the orbit rank from above, and the orbit
+    spun modulo p bounds it from below.  When the bounds meet, the span is
+    the sum of the other strata; a floor above the ceiling raises
+    VerificationError.  Otherwise the orbit is spun exactly, and since it is
+    S_n-invariant it holds the whole stratum i exactly when it holds one
+    total trade of it, the first spec's.  Also asserts that the strata found
+    account exactly for the span's dimension; a mismatch raises
+    VerificationError.
     """
     if e.is_zero:
         raise ValueError("the zero element has no orbit decomposition")
@@ -462,14 +547,31 @@ def orbit_decomposition(e: BooleanElement, t: int) -> set[int]:
     _require_half(t, k, n)
     if not is_t_trade(e, t):
         raise ValueError(f"element is not a {t}-trade")
-    ech = orbit_span(e, k)
-    strata = {
-        i for i in range(t, k) if ech.contains(element_to_vector(_first_total_trade(i, k, n), k))
-    }
-    total = _strata_dim(strata, n)
-    if ech.rank != total:
+    v = element_to_vector(e, k)
+    _require_orthogonal_strata(k, n)
+    orthogonal = _orthogonal_strata(v, k, n)
+    ceiling = binomial(n, k) - sum(len(_stratum(j, k, n)) for j in orthogonal)
+    floor = _orbit_rank_mod_p(v, _generator_maps(k, n))
+    if floor > ceiling:
         raise VerificationError(
-            f"orbit span dimension {ech.rank} != {total}, the total over strata {sorted(strata)}"
+            f"orbit rank mod p {floor} exceeds the ceiling {ceiling} "
+            f"left by the orthogonal strata {list(orthogonal)}"
+        )
+    if floor == ceiling:
+        rank = ceiling
+        strata = {i for i in range(t, k) if i + 1 not in orthogonal}
+    else:
+        ech = orbit_span(e, k)
+        rank = ech.rank
+        strata = {
+            i
+            for i in range(t, k)
+            if ech.contains(element_to_vector(_first_total_trade(i, k, n), k))
+        }
+    total = _strata_dim(strata, n)
+    if rank != total:
+        raise VerificationError(
+            f"orbit span dimension {rank} != {total}, the total over strata {sorted(strata)}"
         )
     return strata
 

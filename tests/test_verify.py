@@ -113,6 +113,17 @@ def _rank_with(echelon, vector):
     return clone.rank
 
 
+def test_kernel_decomposition_multiplies_one_trade_per_stratum(monkeypatch):
+    # The kernel of W_tk is S_n-invariant, so the first total trade of each
+    # stratum stands for the whole stratum: one matvec per stratum.
+    calls = []
+    matvec = RationalMatrix.matvec
+    monkeypatch.setattr(RationalMatrix, "matvec", lambda m, v: calls.append(v) or matvec(m, v))
+    r = check_kernel_decomposition(1, 4, 9)
+    assert r.passed and len(calls) == 3
+    assert [c for _, _, c in r.summands] == [27, 48, 42]
+
+
 def test_intersection_rank_examples():
     # at l = t this is the inclusion-matrix check
     a = check_intersection_rank(1, 2, 6, 1)
@@ -372,10 +383,9 @@ def test_span_rank_matches_enumeration():
         assert verify._span_rank(t, k, n) == rank_of_columns(rows), (t, k, n)
 
 
-def test_span_rank_spins_one_trade(add_calls):
+def test_span_rank_spins_one_trade(fresh_verify_caches, add_calls):
     # Spinning reduces the first trade and two images per span vector; the
     # 210 total trades at (1, 3, 8) are never eliminated.
-    verify._span_rank.cache_clear()
     rank = verify._span_rank(1, 3, 8)
     assert rank == binomial(8, 2) - binomial(8, 1)
     assert 0 < len(add_calls) <= 2 * rank + 1
@@ -559,14 +569,102 @@ def test_orbit_decomposition_rejects_non_trades():
         orbit_decomposition(BooleanElement.zero(6), 0)
 
 
-def test_orbit_decomposition_guard_catches_unaccounted_rank(monkeypatch):
-    # With a zero trade standing for each stratum every stratum counts as
-    # contained, so the strata total C(7,3) - 1 exceeds the total trade's
-    # orbit rank 6.
+def test_orbit_decomposition_guard_catches_unaccounted_rank(fresh_verify_caches, monkeypatch):
+    # With a zero trade standing for each stratum the spun strata 1..3 are
+    # empty, so the orthogonal strata leave a ceiling of 34 above the floor
+    # 6 and the exact path runs.  There every stratum counts as contained,
+    # so the strata total C(7,3) - 1 exceeds the total trade's orbit rank 6.
     monkeypatch.setattr(verify, "_first_total_trade", lambda i, k, n: BooleanElement.zero(n))
     e = total_trade(TradeSpec(7, 0, 3, (1,), (2,)))
     with pytest.raises(verify.VerificationError, match=r"orbit span dimension 6 != 34"):
         orbit_decomposition(e, 0)
+
+
+def test_a_stratum_wrongly_counted_orthogonal_is_caught(fresh_verify_caches, monkeypatch):
+    # Fault injection: count one stratum more as orthogonal to e than the
+    # dot products show.  The ceiling then falls below the orbit rank mod p,
+    # which must raise rather than give the strata without that stratum.
+    orthogonal_strata = verify._orthogonal_strata
+
+    def one_too_many(v, k, n):
+        found = orthogonal_strata(v, k, n)
+        return found + (next(j for j in range(k + 1) if j not in found),)
+
+    monkeypatch.setattr(verify, "_orthogonal_strata", one_too_many)
+    witnesses = [
+        (total_trade(TradeSpec(7, 1, 3, (1, 3), (2, 4))), 1),
+        (minimal_trade(TradeSpec(8, 0, 4, (1,), (2,), (3, 4, 5))), 0),
+    ]
+    for e, t in witnesses:
+        with pytest.raises(verify.VerificationError, match="exceeds the ceiling"):
+            orbit_decomposition(e, t)
+
+
+def test_broken_strata_orthogonality_is_caught(fresh_verify_caches, monkeypatch):
+    # Fault injection: slip the all-ones vector, which lies in stratum 0,
+    # into stratum 2.  Both the orbit ceiling and the matrix ceiling rest on
+    # the strata being orthogonal, so both must raise.
+    stratum = verify._stratum
+
+    def broken(j, k, n):
+        vectors = stratum(j, k, n)
+        return vectors + (verify._witness_vector(0, k, n),) if j == 2 else vectors
+
+    monkeypatch.setattr(verify, "_stratum", broken)
+    e = total_trade(TradeSpec(8, 1, 3, (1, 3), (2, 4)))
+    with pytest.raises(verify.VerificationError, match="strata 0 and 2 at k=3 n=8"):
+        orbit_decomposition(e, 1)
+    with pytest.raises(verify.VerificationError, match="strata 0 and 2 at k=2 n=6"):
+        verify._matrix_rank(MatrixSpec.combination(6, 2, 3, (1, -2, 1)))
+
+
+def test_a_short_floor_takes_the_exact_path(fresh_verify_caches, monkeypatch):
+    # A floor below the ceiling settles nothing: the exact spin decides,
+    # and it finds the same strata.
+    witnesses = [
+        (total_trade(TradeSpec(7, 1, 3, (1, 3), (2, 4))), 1),
+        (minimal_trade(TradeSpec(8, 0, 4, (1,), (2,), (3, 4, 5))), 0),
+        (
+            total_trade(TradeSpec(8, 0, 3, (1,), (2,)))
+            + total_trade(TradeSpec(8, 1, 3, (3, 5), (4, 6))),
+            0,
+        ),
+    ]
+    certified = [orbit_decomposition(e, t) for e, t in witnesses]
+    spins = []
+    floor = verify._orbit_rank_mod_p
+    monkeypatch.setattr(verify, "_orbit_rank_mod_p", lambda v, maps: floor(v, maps) - 1)
+    monkeypatch.setattr(verify, "orbit_span", lambda e, k: spins.append(e) or orbit_span(e, k))
+    assert [orbit_decomposition(e, t) for e, t in witnesses] == certified
+    assert certified == [{1}, {0, 1, 2, 3}, {0, 1}]
+    assert spins == [e for e, _ in witnesses]
+
+
+def test_a_generator_subgroup_trips_the_stratum_guard(fresh_verify_caches, monkeypatch):
+    # The n-cycle alone, or the transposition alone, spins less than the
+    # stratum, and the total trade on the top elements is not in that span.
+    maps = verify._generator_maps
+    for cut in (slice(0, 1), slice(1, 2)):
+        monkeypatch.setattr(verify, "_generator_maps", lambda k, n, cut=cut: maps(k, n)[cut])
+        verify._stratum.cache_clear()
+        with pytest.raises(verify.VerificationError, match="stratum 2 at k=3 n=8"):
+            verify._stratum(2, 3, 8)
+
+
+def test_certified_orbit_decomposition_matches_the_exact_path(fresh_verify_caches, monkeypatch):
+    # Every orbit-suite witness with n <= 9 is settled by floor = ceiling,
+    # with no exact spin; forcing every floor short gives the exact path's
+    # strata, and the two runs report the same.
+    spins = []
+    monkeypatch.setattr(verify, "orbit_span", lambda e, k: spins.append(e) or orbit_span(e, k))
+    certified = run_suite("orbit-decomposition", 9)
+    assert spins == []
+    monkeypatch.setattr(verify, "_orbit_rank_mod_p", lambda v, maps: 0)
+    exact = run_suite("orbit-decomposition", 9)
+    assert len(spins) == len(exact) == len(certified) == 100
+    fields = [(r.claim, r.params, r.predicted, r.computed) for r in certified]
+    assert fields == [(r.claim, r.params, r.predicted, r.computed) for r in exact]
+    assert all(r.passed for r in certified)
 
 
 def test_orbit_witness_checks():
