@@ -17,7 +17,8 @@ then the certificate skips vectors that are dependent mod p and answers as
 soon as `ceiling` of them are independent, since
 rank_Q >= rank_p = ceiling >= rank_Q.  Everything else goes to
 `IntegerEchelon`.  The certificate's one mod-p eliminator, `_EchelonModP`,
-also gives `verify` the floor of its orbit-span certificate.
+also gives `verify` the fully reduced rows mod p of each stratum, from
+which it reads the stratum's character.
 The plain rational reduction that the rank is tested against lives with the
 tests, not here.
 Text is output only: `render_dense` and `render_sparse` write the two matrix
@@ -186,6 +187,21 @@ def _pack(v: Sequence[int]) -> int:
     return int.from_bytes(array("Q", [x % _P for x in v]).tobytes(), sys.byteorder)
 
 
+def _unpack(w: int, dim: int) -> memoryview:
+    # The `dim` slots of a packed vector, not reduced mod `_P`.
+    return memoryview(w.to_bytes(dim * _SLOT // 8, sys.byteorder)).cast("Q")
+
+
+def _shift(i: int, dim: int) -> int:
+    # The bit offset of slot i in a packed vector of `dim` slots.
+    return _SLOT * (i if sys.byteorder == "little" else dim - 1 - i)
+
+
+def _slot(w: int, i: int, dim: int) -> int:
+    # Slot i of a packed vector of `dim` slots, not reduced mod `_P`.
+    return (w >> _shift(i, dim)) & ((1 << _SLOT) - 1)
+
+
 class _EchelonModP:
     """Row echelon form modulo `_P` of packed integer vectors, the one mod-p
     eliminator.
@@ -223,15 +239,35 @@ class _EchelonModP:
             c = ((w >> shift) & mask) % _P
             if c:
                 w += (_P - c) * row
-        slots = memoryview(w.to_bytes(dim * _SLOT // 8, sys.byteorder)).cast("Q")
+        slots = _unpack(w, dim)
         pivot = next((j for j, x in enumerate(slots) if x % _P), None)
         if pivot is None:
             return None
         inv = pow(slots[pivot], -1, _P)
-        shift = _SLOT * (pivot if sys.byteorder == "little" else dim - 1 - pivot)
         row = array("Q", [x * inv % _P for x in slots])
-        self.rows.append((shift, int.from_bytes(row.tobytes(), sys.byteorder)))
+        self.rows.append((_shift(pivot, dim), int.from_bytes(row.tobytes(), sys.byteorder)))
         return row
+
+    def reduced_rows(self) -> list[tuple[int, array]]:
+        """The stored rows in fully reduced form, as (pivot, slots) pairs in
+        insertion order.  Back substitution, from the last row up, also
+        clears every later pivot, so each row is 1 at its own pivot and 0 at
+        every other.  A later row with a smaller pivot is never subtracted,
+        so the pivot stays the first nonzero slot.  Each row takes at most
+        `rank` row operations, within the same slot bound."""
+        dim = self.dim
+        mask = (1 << _SLOT) - 1
+        done: list[tuple[int, int]] = []  # fully reduced rows, the last one first
+        out = []
+        for shift, w in reversed(self.rows):
+            for s, row in done:
+                c = ((w >> s) & mask) % _P
+                if c:
+                    w += (_P - c) * row
+            slots = array("Q", [x % _P for x in _unpack(w, dim)])
+            done.append((shift, int.from_bytes(slots.tobytes(), sys.byteorder)))
+            out.append((next(j for j, x in enumerate(slots) if x), slots))
+        return out[::-1]
 
 
 def _independent_mod_p(

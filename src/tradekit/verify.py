@@ -5,15 +5,18 @@ with a value computed independently by exact row reduction, and reports both.
 Randomness is always seeded from the check's own parameters so reruns are
 reproducible.  Every check returns one `Report`.  One ordered table maps
 each suite name to the reports it yields over its parameter domain; `SUITES`
-lists its names, and `all` runs the suites in that order.  Only ints and
-int tuples are memoised, once per process: the independent spun vectors of
-each stratum per (j, k, n), whose count is the span rank shared between
-`total-trade-dim`, `basis-standard` and `basis-literal-audit`; the
-once-per-(k, n) check that the strata are orthogonal; the rank of each
-distinct `MatrixSpec`, shared between `inclusion-rank`,
-`kernel-decomposition`, `intersection-rank` and `combination-rank` (W_t is
-ranked once for the first three); and each left-kernel witness as an int
-tuple per (j, t, n).  On the predicted side
+lists its names, and `all` runs the suites in that order.  Only ints, int
+tuples and packed ints are memoised, once per process: the independent spun
+vectors of each stratum per (j, k, n), whose count is the span rank shared
+between `total-trade-dim`, `basis-standard` and `basis-literal-audit`, and
+their reduced form mod p as packed columns; the once-per-(k, n) checks that
+the strata are orthogonal and that they make M^k multiplicity-free; the
+size and rank of each standard-filling basis per (i, k, n), shared between
+`basis-standard` and `kernel-decomposition`; the rank of each distinct
+`MatrixSpec`, shared between `inclusion-rank`, `kernel-decomposition`,
+`intersection-rank` and `combination-rank` (W_t is ranked once for the
+first three); and each left-kernel witness as an int tuple per (j, t, n).
+On the predicted side
 `boolean_algebra.lambda_coeff` caches its values.  When n = 2k,
 `combination-rank` ranks c and reversed c as one class: complementing the
 k-sets maps |A ∩ B| = l to t - l, so the two matrices have the same columns
@@ -24,18 +27,24 @@ total trade of strength j - 1.  Each is spun exactly once, and the spin
 must hold a second total trade of the stratum.  Each y_j is checked to be
 exactly orthogonal to every later stratum; both are invariant under the
 symmetric group, so the strata are orthogonal in pairs.  Nothing here reads
-the predicted side or relies on Theorem 1.
+the predicted side.
 Every matrix rank is certified from both sides.  The mod-p certificate
 gives the floor, and left-kernel witnesses give the ceiling: a witness y_j
 at grade t with y_j^T W = 0 exactly is killed.  W is invariant under the
 symmetric group, so each killed stratum lies in the left kernel, and the
 rank is at most C(n, t) minus the killed strata's dimensions.
-Every orbit span is certified the same way.  A witness e exactly orthogonal
-to a set K of strata has its whole orbit orthogonal to them, so the orbit
-rank is at most C(n, k) minus their dimensions; the orbit spun to closure
-modulo 65521 gives the floor.  A floor equal to the ceiling makes the span
-the sum of the strata outside K, a floor above it raises, and a floor
-below it falls back to the exact spin.
+Every orbit span is read from the strata, with no spin, once Theorem 1 is
+checked exactly for (k, n) in the same process.  The strata's dimensions
+add up to C(n, k), so with orthogonality M^k is their direct sum.  Each
+stratum's character chi_j is read off its reduced rows mod 65521 at one
+permutation per cycle type and lifted to (-p/2, p/2); it must have norm 1,
+so the stratum is irreducible, no two may be equal, and chi_j must be
+chi^{M^j} - chi^{M^(j-1)}, from counts of fixed subsets (Young's rule).
+Then every invariant subspace of M^k is a sum of strata.  A witness e
+exactly orthogonal to a set K of strata has its whole orbit orthogonal to
+them, and a stratum inside the orbit span cannot be, so the span is the sum
+of the strata outside K.  K must agree with the strata that e is
+orthogonal to modulo p, through their reduced rows.
 The span rank is the orbit span of one total trade, which the symmetric
 group carries onto every other up to sign.
 Every literal trade is a total trade, so the literal rank is certified
@@ -43,11 +52,9 @@ modulo p up to the span rank as a ceiling and stops there; the standard
 filling trades, which are literal and independent, are pulled first.
 A report that reuses a rank shows `ms=0`, so per-suite `ms=` sums are not
 comparable with older runs.
-The orbit checks spin a span under the two generators (1 2) and
+The strata and `orbit_span` spin a span under the two generators (1 2) and
 (1 2 ... n) of the symmetric group, acting on grade-k coordinates through
-maps read from the shared colex table.  That span is invariant, so it holds
-a whole total-trade stratum exactly when it holds one total trade of it,
-and the exact fallback tests each stratum with one trade.
+maps read from the shared colex table.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, product as iter_product
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .boolean_algebra import (
@@ -72,7 +79,16 @@ from .boolean_algebra import (
     predicted_rank,
 )
 from .combinatorics import Permutation, binomial, colex_index
-from .linalg import IntegerEchelon, Vector, _EchelonModP, rank_of_columns
+from .linalg import (
+    _P,
+    IntegerEchelon,
+    Vector,
+    _EchelonModP,
+    _pack,
+    _slot,
+    _unpack,
+    rank_of_columns,
+)
 from .specht import TwoRowShape, specht_dim
 from .trades import (
     TradeSpec,
@@ -226,6 +242,151 @@ def _require_orthogonal_strata(k: int, n: int) -> None:
                 raise VerificationError(f"strata {j} and {i} at k={k} n={n} are not orthogonal")
 
 
+@cache
+def _reduced_stratum(j: int, k: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # Stratum j's spun vectors in fully reduced form mod p, rows r_i with
+    # pivots p_i: (the pivots, the packed columns), where slot i of column c
+    # is r_i[c].  The vectors must be independent mod p, so that the rows
+    # span the stratum reduced mod p and keep its dimension.
+    vectors = _stratum(j, k, n)
+    ech = _EchelonModP(binomial(n, k))
+    for v in vectors:
+        ech.add(v)
+    if ech.rank != len(vectors):
+        raise VerificationError(
+            f"stratum {j} at k={k} n={n}: its {len(vectors)} vectors have rank "
+            f"{ech.rank} mod {_P}"
+        )
+    rows = ech.reduced_rows()
+    return tuple(p for p, _ in rows), tuple(map(_pack, zip(*(r for _, r in rows))))
+
+
+def _orthogonal_mod_p(v: Vector, j: int, k: int, n: int) -> bool:
+    # v is orthogonal mod p to stratum j: all its dot products with the
+    # reduced rows, summed over v's support as packed columns, vanish mod p.
+    # Each slot stays below |supp v| p^2, so no carry crosses a slot.
+    pivots, columns = _reduced_stratum(j, k, n)
+    dots = sum(c % _P * columns[p] for p, c in enumerate(v) if c)
+    return not any(x % _P for x in _unpack(dots, len(pivots)))
+
+
+def _cycle_types(n: int) -> Iterator[tuple[int, ...]]:
+    # The partitions of n, each with its parts in decreasing order.
+    stack: list[tuple[tuple[int, ...], int]] = [((), n)]
+    while stack:
+        parts, left = stack.pop()
+        if not left:
+            yield parts
+        for p in range(1, min(left, parts[-1] if parts else n) + 1):
+            stack.append((parts + (p,), left - p))
+
+
+def _class_representative(mu: tuple[int, ...]) -> tuple[int, ...]:
+    # The images of 1..n under the permutation whose cycles are consecutive
+    # runs of the lengths in mu: (1 2 .. mu_1)(mu_1+1 ..)...
+    images: list[int] = []
+    for m in mu:
+        start = len(images) + 1
+        images += [*range(start + 1, start + m), start]
+    return tuple(images)
+
+
+def _class_size(mu: tuple[int, ...]) -> int:
+    # n! / z_mu, where z_mu is the product of m^a a! over the parts m of mu
+    # with multiplicity a.
+    z = 1
+    for m in set(mu):
+        a = mu.count(m)
+        z *= m**a * factorial(a)
+    return factorial(sum(mu)) // z
+
+
+def _fixed_subsets(sigma: tuple[int, ...], k: int) -> list[int]:
+    # For m = 0..k, the m-subsets of 1..n that sigma maps onto themselves,
+    # the character of the permutation module M^m at sigma.  Such a subset
+    # is a union of sigma's cycles, so the counts are the coefficients of
+    # the product of (1 + x^len) over the cycles.
+    counts = [1] + [0] * k
+    seen: set[int] = set()
+    for start in sigma:
+        if start in seen:
+            continue
+        length = 0
+        x = start
+        while x not in seen:
+            seen.add(x)
+            x = sigma[x - 1]
+            length += 1
+        for m in range(k, length - 1, -1):
+            counts[m] += counts[m - length]
+    return counts
+
+
+def _character(j: int, k: int, n: int, inverses: list[list[int]]) -> tuple[int, ...]:
+    # The character of stratum j at each sigma whose coordinate map sends
+    # the index of a k-set A to that of sigma^-1 A: sigma r_i has coordinate
+    # r_i[sigma^-1 p_i] on r_i, so chi(sigma) = sum_i r_i[sigma^-1 p_i] mod p.
+    # It is exact: the spun vectors are independent mod p, so sigma's matrix
+    # in their basis has no p in its denominators, and |chi| <= dim < p/2.
+    pivots, columns = _reduced_stratum(j, k, n)
+    d = len(pivots)
+    if 2 * d >= _P:
+        raise ValueError(f"stratum {j} at k={k} n={n} is too large to lift its character mod {_P}")
+    chi = []
+    for inverse in inverses:
+        c = sum(_slot(columns[inverse[p]], i, d) for i, p in enumerate(pivots)) % _P
+        chi.append(c - _P if 2 * c > _P else c)
+    return tuple(chi)
+
+
+@cache
+def _require_multiplicity_free(k: int, n: int) -> None:
+    # M^k, k <= n/2, is the direct sum of its strata, which are irreducible
+    # and pairwise non-isomorphic.  The strata are orthogonal and their
+    # dimensions add up to C(n, k); each character chi_j has norm
+    # sum_mu |C_mu| chi_j(mu)^2 = n!, one sigma per cycle type mu; no two
+    # characters are equal; and chi_j = chi^{M^j} - chi^{M^(j-1)} (Young's
+    # rule), where chi^{M^m}(sigma) counts the m-subsets that sigma fixes.
+    # Then every invariant subspace of M^k is a sum of strata.
+    _require_orthogonal_strata(k, n)
+    dims = [len(_stratum(j, k, n)) for j in range(k + 1)]
+    if sum(dims) != binomial(n, k):
+        raise VerificationError(
+            f"the strata at k={k} n={n} have dimensions {dims}, "
+            f"which do not fill C({n},{k}) = {binomial(n, k)}"
+        )
+    types = list(_cycle_types(n))
+    sigmas = [_class_representative(mu) for mu in types]
+    sizes = [_class_size(mu) for mu in types]
+    index = colex_index(k, n)
+    inverses = []
+    for sigma in sigmas:
+        inverse = {y: x for x, y in enumerate(sigma, start=1)}
+        inverses.append([index[tuple(sorted(inverse[x] for x in s))] for s in index])
+    # chi^{M^m}(sigma) at fixed[i][m + 1] for m = -1..k, where chi^{M^-1} = 0.
+    fixed = [[0, *_fixed_subsets(sigma, k)] for sigma in sigmas]
+    characters: list[tuple[int, ...]] = []
+    for j in range(k + 1):
+        chi = _character(j, k, n, inverses)
+        norm = sum(size * c * c for size, c in zip(sizes, chi))
+        if norm != factorial(n):
+            raise VerificationError(
+                f"stratum {j} at k={k} n={n} is not irreducible: its character "
+                f"has norm {Fraction(norm, factorial(n))}"
+            )
+        if chi in characters:
+            raise VerificationError(
+                f"strata {characters.index(chi)} and {j} at k={k} n={n} have the same character"
+            )
+        young = tuple(f[j + 1] - f[j] for f in fixed)
+        if chi != young:
+            raise VerificationError(
+                f"stratum {j} at k={k} n={n}: its character is not "
+                f"chi^M^{j} - chi^M^{j - 1} (Young's rule)"
+            )
+        characters.append(chi)
+
+
 def _span_rank(t: int, k: int, n: int) -> int:
     # Rank of all total trades: the orbit span of the first one.
     return len(_stratum(t + 1, k, n))
@@ -236,8 +397,12 @@ def _strata_dim(strata: Iterable[int], n: int) -> int:
     return sum(binomial(n, i + 1) - binomial(n, i) for i in strata)
 
 
-def _basis_vectors(i: int, k: int, n: int) -> list[Vector]:
-    return [element_to_vector(e, k) for _, e in total_trade_basis(i, k, n)]
+@cache
+def _basis_rank(i: int, k: int, n: int) -> tuple[int, int]:
+    # The size and the rank of the standard-filling basis of stratum i + 1,
+    # shared between `basis-standard` and `kernel-decomposition`.
+    vectors = [element_to_vector(e, k) for _, e in total_trade_basis(i, k, n)]
+    return len(vectors), rank_of_columns(vectors)
 
 
 def check_inclusion_rank(t: int, k: int, n: int) -> Report:
@@ -283,37 +448,33 @@ def check_kernel_decomposition(t: int, k: int, n: int) -> Report:
     concatenated bases are independent and fill the whole null space.  The
     kernel of W_tk is S_n-invariant and every total trade of a stratum is
     +- an image of the first, so one product per stratum tests membership.
-    When the concatenated bases are independent, so is each stratum's.
+    Each basis trade of stratum i is a total trade, so it lies in the orbit
+    span of the first, stratum i + 1 of grade k; those strata are checked
+    orthogonal in pairs, so the rank of the concatenated bases is the sum
+    of their ranks.
     """
     _require_half(t, k, n)
     start = time.perf_counter()
     spec = MatrixSpec.inclusion(n, t, k)
     w = build_matrix(spec)
     kernel_dim = binomial(n, k) - _matrix_rank(spec)
-    strata = [_basis_vectors(i, k, n) for i in range(t, k)]
     containment = [
         not any(w.matvec(element_to_vector(_first_total_trade(i, k, n), k))) for i in range(t, k)
     ]
-    all_vectors = [v for vectors in strata for v in vectors]
-    concat_rank = rank_of_columns(all_vectors)
-    independent = concat_rank == len(all_vectors)
+    _require_orthogonal_strata(k, n)
     summands = [
-        (
-            (n - i - 1, i + 1),
-            specht_dim(TwoRowShape(n - i - 1, i + 1)),
-            len(vectors) if independent else rank_of_columns(vectors),
-        )
-        for i, vectors in zip(range(t, k), strata)
+        ((n - i - 1, i + 1), specht_dim(TwoRowShape(n - i - 1, i + 1)), _basis_rank(i, k, n)[1])
+        for i in range(t, k)
     ]
     predicted = binomial(n, k) - binomial(n, t)
     return Report(
         "kernel-decomposition",
         {"t": t, "k": k, "n": n},
         predicted=predicted,
-        computed=concat_rank,
+        computed=sum(c for _, _, c in summands),
         summands=summands,
         containment=containment,
-        consistent=concat_rank == sum(c for _, _, c in summands) and kernel_dim == predicted,
+        consistent=kernel_dim == predicted,
         elapsed_ms=_ms(start),
     )
 
@@ -435,9 +596,8 @@ def check_trade_basis(t: int, k: int, n: int) -> Report:
     the report fails there by design.
     """
     start = time.perf_counter()
-    vectors = _basis_vectors(t, k, n)
+    size, basis_rank = _basis_rank(t, k, n)
     dim = specht_dim(TwoRowShape(n - t - 1, t + 1))
-    basis_rank = rank_of_columns(vectors)
     return Report(
         "basis-standard",
         {"t": t, "k": k, "n": n},
@@ -445,7 +605,7 @@ def check_trade_basis(t: int, k: int, n: int) -> Report:
         computed=basis_rank,
         summands=[((n - t - 1, t + 1), dim, basis_rank)],
         containment=[_span_rank(t, k, n) == basis_rank],
-        consistent=len(vectors) == dim,
+        consistent=size == dim,
         elapsed_ms=_ms(start),
     )
 
@@ -496,20 +656,6 @@ def _spin(v0: Vector, maps: list[list[int]]) -> tuple[IntegerEchelon, list[list[
     return ech, spun
 
 
-def _orbit_rank_mod_p(v0: Vector, maps: list[list[int]]) -> int:
-    # The rank mod p of the span of v0 closed under the maps.  The span mod p
-    # of the orbit's integer vectors has at most their rank over Q.
-    ech = _EchelonModP(len(v0))
-    row = ech.add(v0)
-    spun = [] if row is None else [row]
-    for r in spun:
-        for m in maps:
-            row = ech.add([r[p] for p in m])
-            if row is not None:
-                spun.append(row)
-    return ech.rank
-
-
 def _orthogonal_strata(v: Vector, k: int, n: int) -> tuple[int, ...]:
     # The strata j = 0..k that v is exactly orthogonal to.
     terms = [(p, c) for p, c in enumerate(v) if c]
@@ -530,15 +676,14 @@ def orbit_span(e: BooleanElement, k: int) -> IntegerEchelon:
 def orbit_decomposition(e: BooleanElement, t: int) -> set[int]:
     """Strata indices i with the whole total-trade stratum inside the orbit span.
 
-    Certified from both sides (see the module docstring): the strata that e
-    is exactly orthogonal to bound the orbit rank from above, and the orbit
-    spun modulo p bounds it from below.  When the bounds meet, the span is
-    the sum of the other strata; a floor above the ceiling raises
-    VerificationError.  Otherwise the orbit is spun exactly, and since it is
-    S_n-invariant it holds the whole stratum i exactly when it holds one
-    total trade of it, the first spec's.  Also asserts that the strata found
-    account exactly for the span's dimension; a mismatch raises
-    VerificationError.
+    Read from the strata alone, with no spin (see the module docstring):
+    once M^k is checked to be multiplicity-free, the orbit span of e is the
+    sum of the strata that e is not orthogonal to.  The strata that e is
+    exactly orthogonal to must be exactly those it is orthogonal to modulo
+    p, through the strata's reduced rows; else VerificationError is raised,
+    as it is for an element whose dot products with a stratum are nonzero
+    multiples of p.  Also asserts that the strata found account exactly for
+    the span's dimension; a mismatch raises VerificationError.
     """
     if e.is_zero:
         raise ValueError("the zero element has no orbit decomposition")
@@ -547,27 +692,20 @@ def orbit_decomposition(e: BooleanElement, t: int) -> set[int]:
     _require_half(t, k, n)
     if not is_t_trade(e, t):
         raise ValueError(f"element is not a {t}-trade")
-    v = element_to_vector(e, k)
-    _require_orthogonal_strata(k, n)
+    # The orbit span does not change under scaling, so e is cleared to the
+    # primitive integer vector on its line.
+    v = _primitive(element_to_vector(e, k))
+    _require_multiplicity_free(k, n)
     orthogonal = _orthogonal_strata(v, k, n)
-    ceiling = binomial(n, k) - sum(len(_stratum(j, k, n)) for j in orthogonal)
-    floor = _orbit_rank_mod_p(v, _generator_maps(k, n))
-    if floor > ceiling:
-        raise VerificationError(
-            f"orbit rank mod p {floor} exceeds the ceiling {ceiling} "
-            f"left by the orthogonal strata {list(orthogonal)}"
-        )
-    if floor == ceiling:
-        rank = ceiling
-        strata = {i for i in range(t, k) if i + 1 not in orthogonal}
-    else:
-        ech = orbit_span(e, k)
-        rank = ech.rank
-        strata = {
-            i
-            for i in range(t, k)
-            if ech.contains(element_to_vector(_first_total_trade(i, k, n), k))
-        }
+    for j in range(k + 1):
+        if (j in orthogonal) != _orthogonal_mod_p(v, j, k, n):
+            exact, mod_p = ("", "not ") if j in orthogonal else ("not ", "")
+            raise VerificationError(
+                f"the element is {exact}orthogonal to stratum {j} at k={k} n={n}, "
+                f"but {mod_p}orthogonal to it modulo {_P}"
+            )
+    rank = binomial(n, k) - sum(len(_stratum(j, k, n)) for j in orthogonal)
+    strata = {i for i in range(t, k) if i + 1 not in orthogonal}
     total = _strata_dim(strata, n)
     if rank != total:
         raise VerificationError(

@@ -10,6 +10,7 @@ from tradekit.boolean_algebra import MatrixSpec, build_matrix
 from tradekit.linalg import (
     IntegerEchelon,
     RationalMatrix,
+    _EchelonModP,
     _independent_mod_p,
     in_span,
     rank_of_columns,
@@ -142,6 +143,41 @@ def test_certificate_type_check_is_folded_into_packing(add_calls):
         reference = 2 - len(kernel_basis(RationalMatrix(vectors)))
         assert rank_of_columns(vectors) == reference
         assert rank_of_columns(vectors, ceiling=2) == reference
+
+
+def _rref_mod(rows, p):
+    # Plain Gauss-Jordan reduction mod p: the nonzero rows of the reduced
+    # row echelon form, which is unique, in pivot order.
+    rows = [[x % p for x in r] for r in rows]
+    out = []
+    for col in range(len(rows[0]) if rows else 0):
+        at = next((i for i, r in enumerate(rows) if r[col]), None)
+        if at is None:
+            continue
+        r = rows.pop(at)
+        inv = pow(r[col], -1, p)
+        r = [x * inv % p for x in r]
+        rows = [[(x - q[col] * y) % p for x, y in zip(q, r)] for q in rows]
+        out = [[(x - q[col] * y) % p for x, y in zip(q, r)] for q in out] + [r]
+    return out
+
+
+def test_reduced_rows_are_the_reduced_echelon_form_mod_p():
+    # Back substitution gives each stored row 1 at its pivot and 0 at every
+    # other pivot, in insertion order; sorted by pivot they are the RREF.
+    rng = random.Random(11)
+    p = 65521
+    for nrows, ncols in [(1, 1), (3, 5), (6, 6), (9, 7), (12, 20)]:
+        rows = [[rng.choice((0, 0, 1, -1, 2, 65520)) for _ in range(ncols)] for _ in range(nrows)]
+        ech = _EchelonModP(ncols)
+        inserted = [r for r in rows if ech.add(r) is not None]
+        reduced = ech.reduced_rows()
+        assert len(reduced) == ech.rank == len(inserted)
+        pivots = [q for q, _ in reduced]
+        for q, row in reduced:
+            assert row[q] == 1 and all(row[o] == 0 for o in pivots if o != q)
+            assert next(j for j, x in enumerate(row) if x) == q
+        assert [list(r) for _, r in sorted(reduced)] == _rref_mod(rows, p)
 
 
 def test_ceiling_reached_answers_alone(add_calls):

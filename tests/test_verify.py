@@ -17,7 +17,7 @@ from tradekit.boolean_algebra import (
     permute_element,
     predicted_rank,
 )
-from tradekit.combinatorics import Permutation, binomial, colex_rank, colex_tuples
+from tradekit.combinatorics import Permutation, binomial, colex_index, colex_rank, colex_tuples
 from tradekit.linalg import IntegerEchelon, RationalMatrix, rank_of_columns
 from tradekit.trades import (
     TradeSpec,
@@ -571,18 +571,35 @@ def test_orbit_decomposition_rejects_non_trades():
 
 def test_orbit_decomposition_guard_catches_unaccounted_rank(fresh_verify_caches, monkeypatch):
     # With a zero trade standing for each stratum the spun strata 1..3 are
-    # empty, so the orthogonal strata leave a ceiling of 34 above the floor
-    # 6 and the exact path runs.  There every stratum counts as contained,
-    # so the strata total C(7,3) - 1 exceeds the total trade's orbit rank 6.
+    # empty, so the strata no longer fill M^3 and the check that must hold
+    # before any orbit answer reads them raises.
     monkeypatch.setattr(verify, "_first_total_trade", lambda i, k, n: BooleanElement.zero(n))
     e = total_trade(TradeSpec(7, 0, 3, (1,), (2,)))
-    with pytest.raises(verify.VerificationError, match=r"orbit span dimension 6 != 34"):
+    with pytest.raises(
+        verify.VerificationError, match=r"dimensions \[1, 0, 0, 0\], which do not fill C\(7,3\) = 35"
+    ):
+        orbit_decomposition(e, 0)
+
+
+def test_orbit_decomposition_counts_the_strata_it_reports(fresh_verify_caches, monkeypatch):
+    # Fault injection: leave stratum 0 out of the strata found orthogonal,
+    # both exactly and mod p.  The strata reported then miss one dimension
+    # of the rank those strata leave, and the rank guard raises.
+    orthogonal_strata = verify._orthogonal_strata
+    orthogonal_mod_p = verify._orthogonal_mod_p
+    e = total_trade(TradeSpec(7, 0, 3, (1,), (2,)))
+    verify._require_multiplicity_free(3, 7)
+    monkeypatch.setattr(verify, "_orthogonal_strata", lambda v, k, n: orthogonal_strata(v, k, n)[1:])
+    monkeypatch.setattr(
+        verify, "_orthogonal_mod_p", lambda v, j, k, n: j != 0 and orthogonal_mod_p(v, j, k, n)
+    )
+    with pytest.raises(verify.VerificationError, match=r"orbit span dimension 7 != 6"):
         orbit_decomposition(e, 0)
 
 
 def test_a_stratum_wrongly_counted_orthogonal_is_caught(fresh_verify_caches, monkeypatch):
     # Fault injection: count one stratum more as orthogonal to e than the
-    # dot products show.  The ceiling then falls below the orbit rank mod p,
+    # dot products show.  The reduced rows of that stratum mod p disagree,
     # which must raise rather than give the strata without that stratum.
     orthogonal_strata = verify._orthogonal_strata
 
@@ -592,17 +609,19 @@ def test_a_stratum_wrongly_counted_orthogonal_is_caught(fresh_verify_caches, mon
 
     monkeypatch.setattr(verify, "_orthogonal_strata", one_too_many)
     witnesses = [
-        (total_trade(TradeSpec(7, 1, 3, (1, 3), (2, 4))), 1),
-        (minimal_trade(TradeSpec(8, 0, 4, (1,), (2,), (3, 4, 5))), 0),
+        (total_trade(TradeSpec(7, 1, 3, (1, 3), (2, 4))), 1, "stratum 2 at k=3 n=7"),
+        (minimal_trade(TradeSpec(8, 0, 4, (1,), (2,), (3, 4, 5))), 0, "stratum 1 at k=4 n=8"),
     ]
-    for e, t in witnesses:
-        with pytest.raises(verify.VerificationError, match="exceeds the ceiling"):
+    for e, t, stratum in witnesses:
+        with pytest.raises(
+            verify.VerificationError, match=f"is orthogonal to {stratum}, but not orthogonal to it modulo 65521"
+        ):
             orbit_decomposition(e, t)
 
 
 def test_broken_strata_orthogonality_is_caught(fresh_verify_caches, monkeypatch):
     # Fault injection: slip the all-ones vector, which lies in stratum 0,
-    # into stratum 2.  Both the orbit ceiling and the matrix ceiling rest on
+    # into stratum 2.  Both the orbit answer and the matrix ceiling rest on
     # the strata being orthogonal, so both must raise.
     stratum = verify._stratum
 
@@ -616,28 +635,133 @@ def test_broken_strata_orthogonality_is_caught(fresh_verify_caches, monkeypatch)
         orbit_decomposition(e, 1)
     with pytest.raises(verify.VerificationError, match="strata 0 and 2 at k=2 n=6"):
         verify._matrix_rank(MatrixSpec.combination(6, 2, 3, (1, -2, 1)))
+    # kernel-decomposition sums the stratum ranks only for orthogonal strata
+    with pytest.raises(verify.VerificationError, match="strata 0 and 2 at k=3 n=7"):
+        check_kernel_decomposition(1, 3, 7)
 
 
-def test_a_short_floor_takes_the_exact_path(fresh_verify_caches, monkeypatch):
-    # A floor below the ceiling settles nothing: the exact spin decides,
-    # and it finds the same strata.
-    witnesses = [
-        (total_trade(TradeSpec(7, 1, 3, (1, 3), (2, 4))), 1),
-        (minimal_trade(TradeSpec(8, 0, 4, (1,), (2,), (3, 4, 5))), 0),
-        (
-            total_trade(TradeSpec(8, 0, 3, (1,), (2,)))
-            + total_trade(TradeSpec(8, 1, 3, (3, 5), (4, 6))),
-            0,
-        ),
-    ]
-    certified = [orbit_decomposition(e, t) for e, t in witnesses]
-    spins = []
-    floor = verify._orbit_rank_mod_p
-    monkeypatch.setattr(verify, "_orbit_rank_mod_p", lambda v, maps: floor(v, maps) - 1)
-    monkeypatch.setattr(verify, "orbit_span", lambda e, k: spins.append(e) or orbit_span(e, k))
-    assert [orbit_decomposition(e, t) for e, t in witnesses] == certified
-    assert certified == [{1}, {0, 1, 2, 3}, {0, 1}]
-    assert spins == [e for e, _ in witnesses]
+def test_strata_dependent_mod_p_are_caught(fresh_verify_caches, monkeypatch):
+    # Fault injection: repeat a vector of stratum 1.  Its reduced rows mod p
+    # would then have fewer rows than vectors, and the characters read off
+    # them would not be those of the stratum.
+    stratum = verify._stratum
+    monkeypatch.setattr(
+        verify, "_stratum", lambda j, k, n: stratum(j, k, n) * (1 + (j == 1))
+    )
+    with pytest.raises(verify.VerificationError, match="its 12 vectors have rank 6 mod 65521"):
+        verify._reduced_stratum(1, 3, 7)
+
+
+def test_character_norms_and_young_rule():
+    # The stratum characters of M^k: chi_j at the identity is the stratum's
+    # dimension, C(n, j) - C(n, j-1), and at the 6-cycle only chi_0 and
+    # chi_1 are nonzero.
+    types = list(verify._cycle_types(6))
+    assert len(types) == 11 and sorted(types) == sorted(set(types))
+    assert sum(map(verify._class_size, types)) == 720
+    assert verify._class_representative((3, 2, 1)) == (2, 3, 1, 5, 4, 6)
+    assert verify._class_size((2, 2, 1, 1)) == 45
+    index = colex_index(3, 6)
+    identity = list(range(len(index)))
+    cycle = verify._class_representative((6,))
+    inverse = {y: x for x, y in enumerate(cycle, start=1)}
+    rotation = [index[tuple(sorted(inverse[x] for x in s))] for s in index]
+    chars = [verify._character(j, 3, 6, [identity, rotation]) for j in range(4)]
+    assert chars == [(1, 1), (5, -1), (9, 0), (5, 0)]
+    assert verify._fixed_subsets(cycle, 3) == [1, 0, 0, 0]
+    assert verify._fixed_subsets(verify._class_representative((3, 3)), 3) == [1, 0, 0, 2]
+    # The counts match a direct count of the fixed subsets at every sigma.
+    for mu in types:
+        sigma = verify._class_representative(mu)
+        direct = [
+            sum(tuple(sorted(sigma[x - 1] for x in s)) == s for s in colex_index(m, 6))
+            for m in range(4)
+        ]
+        assert verify._fixed_subsets(sigma, 3) == direct, mu
+    verify._require_multiplicity_free(3, 6)
+
+
+def test_a_reducible_stratum_is_caught(fresh_verify_caches, monkeypatch):
+    # Fault injection: pad stratum 2 with the vectors of stratum 3.  With
+    # stratum 3 left empty the strata still fill M^3, but stratum 2 now
+    # holds two irreducibles, so its character has norm 2.  Padded with
+    # one vector alone, the strata overfill M^3.
+    stratum = verify._stratum
+
+    def merged(j, k, n):
+        if j == 3:
+            return ()
+        return stratum(2, k, n) + stratum(3, k, n) if j == 2 else stratum(j, k, n)
+
+    monkeypatch.setattr(verify, "_stratum", merged)
+    with pytest.raises(verify.VerificationError, match="stratum 2 at k=3 n=7 is not irreducible"):
+        verify._require_multiplicity_free(3, 7)
+    monkeypatch.setattr(
+        verify,
+        "_stratum",
+        lambda j, k, n: stratum(j, k, n) + stratum(3, k, n)[:1] if j == 2 else stratum(j, k, n),
+    )
+    verify._reduced_stratum.cache_clear()
+    verify._require_orthogonal_strata.cache_clear()
+    with pytest.raises(verify.VerificationError, match="which do not fill C\\(7,3\\) = 35"):
+        verify._require_multiplicity_free(3, 7)
+
+
+def test_equal_stratum_characters_are_caught(fresh_verify_caches, monkeypatch):
+    # Fault injection: read stratum 1's character for stratum 2.  Each still
+    # has norm 1, so only the check that the characters differ sees it.
+    character = verify._character
+    monkeypatch.setattr(
+        verify, "_character", lambda j, k, n, maps: character(1 if j == 2 else j, k, n, maps)
+    )
+    with pytest.raises(verify.VerificationError, match="strata 1 and 2 at k=3 n=7 have the same"):
+        verify._require_multiplicity_free(3, 7)
+
+
+def test_a_wrong_fixed_subset_count_breaks_young_rule(fresh_verify_caches, monkeypatch):
+    # Fault injection: count one fixed 1-subset too many.  Every character
+    # keeps its norm, but chi_1 and chi_2 no longer follow Young's rule.
+    fixed = verify._fixed_subsets
+    monkeypatch.setattr(
+        verify,
+        "_fixed_subsets",
+        lambda sigma, k: [c + (m == 1) for m, c in enumerate(fixed(sigma, k))],
+    )
+    with pytest.raises(verify.VerificationError, match=r"stratum 1 at k=3 n=7: .*Young's rule"):
+        verify._require_multiplicity_free(3, 7)
+
+
+def test_a_wrong_class_representative_is_caught(fresh_verify_caches, monkeypatch):
+    # Fault injection: stand the identity in for the n-cycle.  The
+    # characters and the fixed-subset counts agree at every sigma, but the
+    # class sizes no longer weigh the right values, so a norm breaks.
+    representative = verify._class_representative
+    monkeypatch.setattr(
+        verify,
+        "_class_representative",
+        lambda mu: representative((1,) * sum(mu) if len(mu) == 1 else mu),
+    )
+    with pytest.raises(verify.VerificationError, match="stratum 1 at k=3 n=7 is not irreducible"):
+        verify._require_multiplicity_free(3, 7)
+
+
+def test_an_unlifted_character_is_caught(fresh_verify_caches, monkeypatch):
+    # Fault injection: read each character value mod p without lifting it
+    # to (-p/2, p/2).  chi_1 is negative on the n-cycle, so its norm breaks.
+    character = verify._character
+    monkeypatch.setattr(
+        verify, "_character", lambda *a: tuple(c % 65521 for c in character(*a))
+    )
+    with pytest.raises(verify.VerificationError, match="stratum 1 at k=3 n=7 is not irreducible"):
+        verify._require_multiplicity_free(3, 7)
+
+
+def test_orbit_decomposition_of_a_scaled_element():
+    # The orbit span does not change under scaling: rational coefficients
+    # and multiples of p give the same strata as the trade itself.
+    e = total_trade(TradeSpec(7, 1, 3, (1, 3), (2, 4)))
+    assert orbit_decomposition(e * Fraction(1, 2), 1) == {1}
+    assert orbit_decomposition(e * 65521, 1) == {1}
 
 
 def test_a_generator_subgroup_trips_the_stratum_guard(fresh_verify_caches, monkeypatch):
@@ -651,18 +775,35 @@ def test_a_generator_subgroup_trips_the_stratum_guard(fresh_verify_caches, monke
             verify._stratum(2, 3, 8)
 
 
+def _exact_orbit_strata(e: BooleanElement, t: int) -> set[int]:
+    # The strata found by spinning e's orbit exactly: the span is invariant,
+    # so it holds stratum i exactly when it holds one total trade of it.
+    k, n = e.homogeneous_grade(), e.n
+    ech = orbit_span(e, k)
+    strata = {
+        i
+        for i in range(t, k)
+        if ech.contains(element_to_vector(verify._first_total_trade(i, k, n), k))
+    }
+    assert ech.rank == verify._strata_dim(strata, n)
+    return strata
+
+
 def test_certified_orbit_decomposition_matches_the_exact_path(fresh_verify_caches, monkeypatch):
-    # Every orbit-suite witness with n <= 9 is settled by floor = ceiling,
-    # with no exact spin; forcing every floor short gives the exact path's
-    # strata, and the two runs report the same.
-    spins = []
-    monkeypatch.setattr(verify, "orbit_span", lambda e, k: spins.append(e) or orbit_span(e, k))
+    # Every orbit-suite witness with n <= 9 is decomposed from the strata
+    # alone: once the strata are spun, a second run spins nothing.  Exact
+    # spins of every witness report the same strata.
     certified = run_suite("orbit-decomposition", 9)
+    spins = []
+    spin = verify._spin
+    monkeypatch.setattr(verify, "_spin", lambda v, maps: spins.append(v) or spin(v, maps))
+    again = run_suite("orbit-decomposition", 9)
     assert spins == []
-    monkeypatch.setattr(verify, "_orbit_rank_mod_p", lambda v, maps: 0)
+    monkeypatch.setattr(verify, "orbit_decomposition", _exact_orbit_strata)
     exact = run_suite("orbit-decomposition", 9)
     assert len(spins) == len(exact) == len(certified) == 100
     fields = [(r.claim, r.params, r.predicted, r.computed) for r in certified]
+    assert fields == [(r.claim, r.params, r.predicted, r.computed) for r in again]
     assert fields == [(r.claim, r.params, r.predicted, r.computed) for r in exact]
     assert all(r.passed for r in certified)
 
