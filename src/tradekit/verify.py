@@ -15,7 +15,9 @@ size and rank of each standard-filling basis per (i, k, n), shared between
 `basis-standard` and `kernel-decomposition`; the rank of each distinct
 `MatrixSpec`, shared between `inclusion-rank`, `kernel-decomposition`,
 `intersection-rank` and `combination-rank` (W_t is ranked once for the
-first three); and each left-kernel witness as an int tuple per (j, t, n).
+first three); each left-kernel witness as an int tuple per (j, t, n); and
+the coordinate maps of the two generators of the symmetric group as int
+tuples per (k, n), shared between the stratum spins and `orbit_span`.
 On the predicted side
 `boolean_algebra.lambda_coeff` caches its values.  When n = 2k,
 `combination-rank` ranks c and reversed c as one class: complementing the
@@ -46,10 +48,15 @@ them, and a stratum inside the orbit span cannot be, so the span is the sum
 of the strata outside K.  K must agree with the strata that e is
 orthogonal to modulo p, through their reduced rows.
 The span rank is the orbit span of one total trade, which the symmetric
-group carries onto every other up to sign.
-Every literal trade is a total trade, so the literal rank is certified
-modulo p up to the span rank as a ceiling and stops there; the standard
-filling trades, which are literal and independent, are pulled first.
+group carries onto every other up to sign.  Above n/2, off the t + k = n
+boundary, it is read from grade n - k: complementing the k-sets commutes
+with the symmetric group and carries the first total trade exactly onto
+(-1)^(t+1) times the first one of grade n - k, which is checked.
+Every literal trade is a total trade, so the span rank is a ceiling on the
+literal rank, and the standard filling trades are literal: when the basis
+rank meets the span rank, the literal rank is the span rank, and no literal
+trade is built.  Otherwise the literal rank is certified modulo p up to that
+ceiling and stops there, with the standard filling trades pulled first.
 A report that reuses a rank shows `ms=0`, so per-suite `ms=` sums are not
 comparable with older runs.
 The strata and `orbit_span` spin a span under the two generators (1 2) and
@@ -387,9 +394,27 @@ def _require_multiplicity_free(k: int, n: int) -> None:
         characters.append(chi)
 
 
+def _complement(e: BooleanElement) -> BooleanElement:
+    # Each subset replaced by its complement in 1..n, coefficients kept: a
+    # bijection from grade k onto grade n - k that commutes with S_n.
+    ground = frozenset(range(1, e.n + 1))
+    return BooleanElement(e.n, {tuple(sorted(ground - set(s))): c for s, c in e.terms()})
+
+
 def _span_rank(t: int, k: int, n: int) -> int:
-    # Rank of all total trades: the orbit span of the first one.
-    return len(_stratum(t + 1, k, n))
+    # Rank of all total trades: the orbit span of the first one.  Above n/2,
+    # off the t + k = n boundary, the complement carries that span onto the
+    # stratum of grade n - k that holds (-1)^(t+1) times the first trade
+    # there: each pair's other element is picked, so each sign flips.
+    if 2 * k <= n or t + k == n:
+        return len(_stratum(t + 1, k, n))
+    image = (-1) ** (t + 1) * _first_total_trade(t, n - k, n)
+    if _complement(_first_total_trade(t, k, n)) != image:
+        raise VerificationError(
+            f"the complement of the first total trade at t={t} k={k} n={n} is not "
+            f"(-1)^{t + 1} times the first total trade at k={n - k}"
+        )
+    return len(_stratum(t + 1, n - k, n))
 
 
 def _strata_dim(strata: Iterable[int], n: int) -> int:
@@ -421,11 +446,16 @@ def check_inclusion_rank(t: int, k: int, n: int) -> Report:
 def check_total_trade_dim(t: int, k: int, n: int) -> Report:
     """Span of all total trades has dimension C(n, t+1) - C(n, t).
 
-    The span is spun from one total trade T(x, y), the first spec's, with
-    `orbit_span`.  That is the span of all of them: a permutation sigma
-    sends T(x, y) to +-T(sigma x, sigma y), and S_n is transitive on the
+    The span is the orbit span of one total trade T(x, y), the first
+    spec's, which is stratum t + 1 of grade k, spun once per process by
+    `_stratum`.  That is the span of all of them: a permutation sigma sends
+    T(x, y) to +-T(sigma x, sigma y), and S_n is transitive on the
     sequences of t+1 disjoint pairs, so every total trade is +- an image of
-    the first.
+    the first.  When 2k > n and t + k < n, no stratum of grade k is spun:
+    complementing every k-set is a bijection onto grade n - k that commutes
+    with S_n, and it must carry T(x, y) exactly onto (-1)^(t+1) times the
+    first total trade of grade n - k (else VerificationError), so the span
+    has the rank of stratum t + 1 of grade n - k.
 
     On the boundary t + k = n, k >= t + 2 every total trade is zero, so the
     span is 0 while the predicted value is positive: the report fails there
@@ -614,24 +644,33 @@ def literal_basis_audit(t: int, k: int, n: int) -> Report:
     """Report-only comparison of the literal three-condition set's rank with
     the span dimension; never asserted."""
     start = time.perf_counter()
-    # The standard fillings go first.  They are literal specs too, so the set
-    # and its rank are unchanged; they are independent, and at n <= 9 also
-    # mod p, so there the certificate reaches the ceiling right after them.
-    standard = (e for _, e in total_trade_basis(t, k, n))
-    literal = (total_trade(s) for s in literal_basis_specs(t, k, n))
-    vectors = (element_to_vector(e, k) for e in chain(standard, literal))
+    # Every literal trade is a total trade, so the span rank is a ceiling,
+    # and the standard fillings are literal specs: when their rank meets the
+    # ceiling, so does the literal rank.  Otherwise the literal set is ranked
+    # with the standard fillings first, which leaves the set and its rank
+    # unchanged; they are independent, and at n <= 9 also mod p, so there
+    # the certificate reaches the ceiling right after them.
+    span = _span_rank(t, k, n)
+    if _basis_rank(t, k, n)[1] == span:
+        rank = span
+    else:
+        standard = (e for _, e in total_trade_basis(t, k, n))
+        literal = (total_trade(s) for s in literal_basis_specs(t, k, n))
+        vectors = (element_to_vector(e, k) for e in chain(standard, literal))
+        rank = rank_of_columns(vectors, ceiling=span)
     cardinality = binomial(n, 2 * (t + 1)) * len(_sorted_splits(t))
     return Report(
         "basis-literal-audit",
         {"t": t, "k": k, "n": n, "cardinality": cardinality},
         predicted=specht_dim(TwoRowShape(n - t - 1, t + 1)),
-        computed=rank_of_columns(vectors, ceiling=_span_rank(t, k, n)),
+        computed=rank,
         asserted=False,
         elapsed_ms=_ms(start),
     )
 
 
-def _generator_maps(k: int, n: int) -> list[list[int]]:
+@cache
+def _generator_maps(k: int, n: int) -> tuple[tuple[int, ...], ...]:
     # Coordinate maps of the n-cycle (1 2 ... n) and, for n > 2, of the
     # transposition (1 2); together they generate S_n (for n <= 2 the cycle
     # alone does).  Under a generator g, position p receives the coefficient
@@ -640,10 +679,12 @@ def _generator_maps(k: int, n: int) -> list[list[int]]:
     inverses = [{1: n} | {x: x - 1 for x in range(2, n + 1)}]
     if n > 2:
         inverses.append({1: 2, 2: 1})
-    return [[index[tuple(sorted(g.get(x, x) for x in s))] for s in index] for g in inverses]
+    return tuple(
+        tuple(index[tuple(sorted(g.get(x, x) for x in s))] for s in index) for g in inverses
+    )
 
 
-def _spin(v0: Vector, maps: list[list[int]]) -> tuple[IntegerEchelon, list[list[int]]]:
+def _spin(v0: Vector, maps: Sequence[Sequence[int]]) -> tuple[IntegerEchelon, list[list[int]]]:
     # The span of v0 closed under the coordinate maps, and the vectors that
     # grew it.
     ech = IntegerEchelon(len(v0))

@@ -350,14 +350,18 @@ def test_basis_corollary_examples():
 
 
 def test_basis_standard_never_builds_the_literal_set(monkeypatch):
-    # Only the audit reads the literal set; (0, 1, 10) is warmed by no other test.
-    def refuse(t, k, n):
-        raise AssertionError("the literal set was built")
+    # basis-standard never reads the literal set.  Once its basis rank meets
+    # the span rank, the audit answers from the two ranks alone: it builds
+    # no trade and ranks nothing.  (0, 1, 10) is warmed by no other test.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the audit recomputed a rank")
 
     monkeypatch.setattr(verify, "literal_basis_specs", refuse)
     assert check_trade_basis(0, 1, 10).passed
-    with pytest.raises(AssertionError, match="the literal set was built"):
-        literal_basis_audit(0, 1, 10)
+    monkeypatch.setattr(verify, "total_trade_basis", refuse)
+    monkeypatch.setattr(verify, "rank_of_columns", refuse)
+    audit = literal_basis_audit(0, 1, 10)
+    assert audit.computed == check_total_trade_dim(0, 1, 10).computed == 9
 
 
 def test_shared_ranks_match_an_independent_reference():
@@ -383,6 +387,37 @@ def test_span_rank_matches_enumeration():
         assert verify._span_rank(t, k, n) == rank_of_columns(rows), (t, k, n)
 
 
+def test_total_trade_dim_spins_no_grade_above_half(monkeypatch):
+    # Above n/2 the span rank is read from grade n - k through the
+    # complement.  Only the t + k = n boundary reads a stratum of grade
+    # k > n/2, and there every total trade is zero, so that stratum is empty.
+    calls = []
+    stratum = verify._stratum
+    monkeypatch.setattr(verify, "_stratum", lambda *a: calls.append(a) or stratum(*a))
+    reports = run_suite("total-trade-dim", 9)
+    assert len(calls) == len(reports)
+    above = [(j, k, n) for j, k, n in calls if 2 * k > n]
+    assert len(above) == sum(1 for t, k, n in verify._sum_domain(9) if 2 * k > n and t + k == n)
+    assert all(j - 1 + k == n and stratum(j, k, n) == () for j, k, n in above)
+
+
+def test_a_wrong_complement_trips_the_span_guard(fresh_verify_caches, monkeypatch):
+    # The first total trade of grade n - k, off by a sign, or a grade-k
+    # trade that is not complemented, is caught before any rank is read.
+    first = verify._first_total_trade
+
+    def flipped(t, k, n):
+        return -first(t, k, n) if 2 * k < n else first(t, k, n)
+
+    monkeypatch.setattr(verify, "_first_total_trade", flipped)
+    with pytest.raises(verify.VerificationError, match="first total trade at t=1 k=5 n=8"):
+        verify._span_rank(1, 5, 8)
+    monkeypatch.setattr(verify, "_complement", lambda e: e)
+    monkeypatch.setattr(verify, "_first_total_trade", first)
+    with pytest.raises(verify.VerificationError, match="first total trade at t=0 k=6 n=9"):
+        verify._span_rank(0, 6, 9)
+
+
 def test_span_rank_spins_one_trade(fresh_verify_caches, add_calls):
     # Spinning reduces the first trade and two images per span vector; the
     # 210 total trades at (1, 3, 8) are never eliminated.
@@ -405,9 +440,11 @@ def test_literal_rank_stops_at_the_span_rank(add_calls):
 
 
 def test_literal_audit_pulls_only_the_standard_fillings(monkeypatch):
-    # The standard fillings are ranked first and are independent mod p, so
-    # the certificate reaches the span rank right after them; on the
-    # boundary (2, 7, 9) the span rank is 0 and nothing is pulled.
+    # With a basis rank one short of the span rank, the audit must rank the
+    # literal set itself.  The standard fillings are ranked first and are
+    # independent mod p, so the certificate reaches the span rank right
+    # after them; on the boundary (2, 7, 9) the span rank is 0 and nothing
+    # is pulled.
     pulls = []
 
     def counting(vectors, **kwargs):
@@ -416,10 +453,13 @@ def test_literal_audit_pulls_only_the_standard_fillings(monkeypatch):
         pulls.append(len(pulled))
         return rank
 
+    short = {k: verify._basis_rank(2, k, 9)[1] - 1 for k in range(3, 8)}
+    monkeypatch.setattr(verify, "_basis_rank", lambda t, k, n: (None, short[k]))
     monkeypatch.setattr(verify, "rank_of_columns", counting)
     for k in range(3, 8):
         span = check_total_trade_dim(2, k, 9).computed
         audit = literal_basis_audit(2, k, 9)
+        assert len(pulls) == k - 2
         assert pulls[-1] == audit.computed == span == (48 if k < 7 else 0)
         assert audit.params["cardinality"] == len(list(literal_basis_specs(2, k, 9)))
 
@@ -896,6 +936,31 @@ def test_verify_all_matches_the_recorded_reports():
     assert [_compared_fields(ln) for ln in text.splitlines()] == golden["lines"]
     assert golden["lines"][-1] == "TOTAL pass=1689/1737"
     assert (0 if ok else 1) == golden["exit"] == 1
+
+
+def test_trade_span_ops_match_the_recorded_reports():
+    # The benchmark's reference reports of its trade-span workload: every
+    # trade-side public check at n = 9 with seed 0, one call per op, in the
+    # order of the `verify all` suites.  Above n/2 these reach the
+    # complement path of the span rank, and the audit's reuse of it.
+    n, seed = 9, 0
+    sums = [(t, k) for t, k, m in verify._sum_domain(n) if m == n]
+    halves = [(t, k) for t, k, m in verify._half_domain(n) if m == n]
+    ops = [(check_total_trade_dim, (t, k, n)) for t, k in sums]
+    for t, k in sums:
+        if n - t - 1 >= t + 1:
+            ops += [(check_trade_basis, (t, k, n)), (literal_basis_audit, (t, k, n))]
+    ops += [(check_kernel_decomposition, (t, k, n)) for t, k in halves]
+    ops += [(check_graver_jurkat, (t, k, n, seed)) for t, k in halves]
+    for t, k in halves:
+        for kind in ("total", "minimal", "mixed") if k >= t + 2 else ("total", "minimal"):
+            ops.append((check_orbit_witness, (t, k, n, kind, seed)))
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "trade-span.json.xz"
+    with lzma.open(path, "rt", encoding="utf-8") as fh:
+        golden = json.load(fh)[str(seed)]
+    lines = [_compared_fields(fn(*args).line()) for fn, args in ops]
+    assert len(lines) == 119
+    assert lines == golden["lines"]
 
 
 def test_run_suite_deterministic_order():
