@@ -14,7 +14,10 @@ with `garnir`.  Each rewrite strictly lowers the key (row 2 and the tops as
 bitmasks, then row 2), so a heap pass ends without recursion and expands each
 canonical tabloid at most once.  That bounds the rewrites by the number of
 canonical tabloids of shape (n - m, m), C(n, 2m)(2m - 1)!!: the 2m column
-entries, times their pairings into columns.
+entries, times their pairings into columns.  Each step sorts every column,
+counts the sign and orders the columns by top entry in one pass, and the
+standard survivors become tableaux without re-validation.  `trade_map_expr`
+adds the image of each term into one running sum.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import heapq
 from dataclasses import dataclass
 from itertools import combinations
 from math import prod
+from operator import gt, neg
 from typing import Iterable
 
 from .boolean_algebra import BooleanElement
@@ -32,6 +36,9 @@ from .trades import TradeSpec, total_trade
 
 # The (row1, row2) entries of a two-row filling, as straightening handles them.
 Rows = tuple[tuple[int, ...], tuple[int, ...]]
+
+# x -> 2**x, mapped over a row to build its bitmask.
+_bit = (1).__lshift__
 
 
 @dataclass(frozen=True)
@@ -71,6 +78,13 @@ class Tableau:
         if sorted(self.row1 + self.row2) != list(range(1, self.shape.n + 1)):
             raise ValueError(f"entries must be exactly 1..{self.shape.n}, each once")
 
+    @classmethod
+    def _make(cls, shape: TwoRowShape, row1: tuple[int, ...], row2: tuple[int, ...]) -> Tableau:
+        # Fast path for internal callers whose rows are a valid filling of shape.
+        self = cls.__new__(cls)
+        object.__setattr__(self, "__dict__", {"shape": shape, "row1": row1, "row2": row2})
+        return self
+
 
 @dataclass(frozen=True)
 class Tabloid:
@@ -84,22 +98,12 @@ class Tabloid:
             raise ValueError(f"sign must be +-1, got {self.sign}")
 
 
-def _sort_columns(rows: Rows) -> tuple[Rows, int]:
-    # Raw rows with every height-2 column sorted, and the sign of the swaps.
-    r1, r2 = rows
-    top, bottom = list(r1), list(r2)
-    sign = 1
-    for c, (x, y) in enumerate(zip(r1, r2)):
-        if x > y:
-            top[c], bottom[c] = y, x
-            sign = -sign
-    return (tuple(top), tuple(bottom)), sign
-
-
 def canonicalize(t: Tableau) -> Tabloid:
     """Sort every height-2 column increasing top-to-bottom; each swap flips the sign."""
-    (r1, r2), sign = _sort_columns((t.row1, t.row2))
-    return Tabloid(Tableau(t.shape, r1, r2), sign)
+    r1, r2 = t.row1, t.row2
+    sign = -1 if sum(map(gt, r1, r2)) & 1 else 1
+    top = tuple(map(min, r1, r2)) + r1[len(r2) :]
+    return Tabloid(Tableau._make(t.shape, top, tuple(map(max, r1, r2))), sign)
 
 
 def is_standard(t: Tableau) -> bool:
@@ -269,12 +273,24 @@ def garnir(u: Tableau, c: int) -> TabloidExpr:
 
 
 def _canonical(rows: Rows) -> tuple[Rows, int]:
-    # The relations with coefficient one: sort each height-2 column (a sign
-    # per swap), order those columns by top entry and sort the tail.
-    (r1, r2), sign = _sort_columns(rows)
-    columns = sorted(zip(r1, r2))
-    tops = tuple(x for x, _ in columns) + tuple(sorted(r1[len(r2) :]))
-    return (tops, tuple(y for _, y in columns)), sign
+    # The relations with coefficient one, in one pass over the columns: sort
+    # each height-2 column (a sign per swap), then order those columns by top
+    # entry and sort the tail.
+    r1, r2 = rows
+    m = len(r2)
+    sign = 1
+    columns = []
+    for x, y in zip(r1, r2):
+        if x > y:
+            columns.append((y, x))
+            sign = -sign
+        else:
+            columns.append((x, y))
+    columns.sort()
+    tops, bottoms = zip(*columns) if m else ((), ())
+    if m < len(r1):
+        tops += tuple(sorted(r1[m:]))
+    return (tops, bottoms), sign
 
 
 def _rewrite(rows: Rows) -> list[Rows] | None:
@@ -313,8 +329,8 @@ def straighten(e: TabloidExpr) -> TabloidExpr:
             pending[rows] = 0
             # The key (see the module docstring), negated for the min-heap.
             r1, r2 = rows
-            bits1, bits2 = sum(1 << x for x in r1[: len(r2)]), sum(1 << y for y in r2)
-            heapq.heappush(heap, ((-bits2, -bits1, [-y for y in r2]), rows))
+            bits1, bits2 = sum(map(_bit, r1[: len(r2)])), sum(map(_bit, r2))
+            heapq.heappush(heap, ((-bits2, -bits1, tuple(map(neg, r2))), rows))
         pending[rows] += sign * coeff
 
     shape = None
@@ -328,7 +344,7 @@ def straighten(e: TabloidExpr) -> TabloidExpr:
         coeff = pending.pop(rows)
         children = _rewrite(rows) if coeff else ()
         if children is None:
-            out[Tableau(shape, *rows)] = coeff
+            out[Tableau._make(shape, *rows)] = coeff
         elif children:
             if not fuel:
                 raise RuntimeError("straightening fuel exhausted")
@@ -360,7 +376,10 @@ def trade_map_expr(e: TabloidExpr, k: int) -> BooleanElement:
     terms = e.terms()
     if not terms:
         raise ValueError("cannot infer the ground set of an empty expression")
-    out = BooleanElement.zero(terms[0][0].shape.n)
+    # Summed in one dict: BooleanElement + would copy the running sum per term.
+    acc: dict[tuple[int, ...], Scalar] = {}
+    get = acc.get
     for tab, coeff in terms:
-        out = out + coeff * trade_map(Tabloid(tab, 1), k)
-    return out
+        for s, c in trade_map(Tabloid(tab, 1), k)._terms.items():
+            acc[s] = get(s, 0) + coeff * c
+    return BooleanElement._make(terms[0][0].shape.n, {s: c for s, c in acc.items() if c})

@@ -83,11 +83,13 @@ def total_trade(spec: TradeSpec) -> BooleanElement:
     picks: list[tuple[tuple[int, ...], int]] = [((), 1)]
     for x, y in zip(spec.xs, spec.ys):
         picks = [(p + (x,), sign) for p, sign in picks] + [(p + (y,), -sign) for p, sign in picks]
-    used = set(spec.xs) | set(spec.ys)
-    rest = [x for x in range(1, spec.n + 1) if x not in used]
-    tails = list(combinations(rest, spec.k - spec.t - 1))
-    terms = {tuple(sorted(p + tail)): sign for p, sign in picks for tail in tails}
-    return BooleanElement._make(spec.n, terms)
+    size = spec.k - spec.t - 1
+    if size:
+        used = set(spec.xs) | set(spec.ys)
+        rest = [x for x in range(1, spec.n + 1) if x not in used]
+        tails = list(combinations(rest, size))
+        picks = [(p + tail, sign) for p, sign in picks for tail in tails]
+    return BooleanElement._make(spec.n, {tuple(sorted(p)): sign for p, sign in picks})
 
 
 def is_t_trade(e: BooleanElement, t: int) -> bool:

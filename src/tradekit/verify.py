@@ -241,11 +241,13 @@ def _require_orthogonal_strata(k: int, n: int) -> None:
     # Each witness y_j is exactly orthogonal to every later stratum.  Both
     # the strata and the dot product are S_n-invariant, so then the strata
     # are orthogonal in pairs, hence independent.  Needs k <= n/2, where
-    # the strata are j = 0..k.
-    for j in range(k + 1):
-        orthogonal = _orthogonal_strata(_witness_vector(j, k, n), k, n)
+    # the strata are j = 0..k.  Only the later strata are dotted: the
+    # earlier ones would cost the most, as y_j is orthogonal to them and no
+    # dot product there ends the scan early.
+    for j in range(k):
+        terms = [(p, c) for p, c in enumerate(_witness_vector(j, k, n)) if c]
         for i in range(j + 1, k + 1):
-            if i not in orthogonal:
+            if not _is_orthogonal(terms, i, k, n):
                 raise VerificationError(f"strata {j} and {i} at k={k} n={n} are not orthogonal")
 
 
@@ -697,14 +699,16 @@ def _spin(v0: Vector, maps: Sequence[Sequence[int]]) -> tuple[IntegerEchelon, li
     return ech, spun
 
 
+def _is_orthogonal(terms: list[tuple[int, int]], j: int, k: int, n: int) -> bool:
+    # The vector with these (position, coefficient) nonzero terms is exactly
+    # orthogonal to every vector of stratum j.
+    return not any(sum(c * w[p] for p, c in terms) for w in _stratum(j, k, n))
+
+
 def _orthogonal_strata(v: Vector, k: int, n: int) -> tuple[int, ...]:
     # The strata j = 0..k that v is exactly orthogonal to.
     terms = [(p, c) for p, c in enumerate(v) if c]
-    return tuple(
-        j
-        for j in range(k + 1)
-        if not any(sum(c * w[p] for p, c in terms) for w in _stratum(j, k, n))
-    )
+    return tuple(j for j in range(k + 1) if _is_orthogonal(terms, j, k, n))
 
 
 def orbit_span(e: BooleanElement, k: int) -> IntegerEchelon:

@@ -307,6 +307,107 @@ def test_straighten_rewrites_lower_the_key():
     assert rewrites > 0
 
 
+def _sorted_columns(rows):
+    # Every height-2 column sorted top-to-bottom, and the sign of the swaps.
+    r1, r2 = rows
+    top, bottom, sign = list(r1), list(r2), 1
+    for c in range(len(r2)):
+        if top[c] > bottom[c]:
+            top[c], bottom[c] = bottom[c], top[c]
+            sign = -sign
+    return (tuple(top), tuple(bottom)), sign
+
+
+def _two_step_canonical(rows):
+    # The canonical form in two steps: sort each column with its sign, then
+    # order the columns by top entry and sort the tail.
+    (top, bottom), sign = _sorted_columns(rows)
+    columns = sorted(zip(top, bottom))
+    tops = tuple(x for x, _ in columns) + tuple(sorted(top[len(bottom) :]))
+    return (tops, tuple(y for _, y in columns)), sign
+
+
+def test_canonical_matches_two_step_reference():
+    # straighten and canonicalize sort the columns and count the sign in one
+    # pass; both must agree with the two-step reference on every filling
+    # with n <= 7 and on random fillings up to n = 64.
+    fillings = [
+        (u.row1, u.row2)
+        for n in range(1, 8)
+        for lambda2 in range(n // 2 + 1)
+        for u in all_tableaux(TwoRowShape(n - lambda2, lambda2))
+    ]
+    rng = random.Random(31)
+    for _ in range(500):
+        n = rng.randint(8, 64)
+        lambda2 = rng.randint(0, n // 2)
+        perm = tuple(rng.sample(range(1, n + 1), n))
+        fillings.append((perm[: n - lambda2], perm[n - lambda2 :]))
+    for rows in fillings:
+        assert _canonical(rows) == _two_step_canonical(rows)
+        shape = TwoRowShape(len(rows[0]), len(rows[1]))
+        (top, bottom), sign = _sorted_columns(rows)
+        assert canonicalize(Tableau(shape, *rows)) == Tabloid(Tableau(shape, top, bottom), sign)
+
+
+def test_straightened_tableaux_equal_validated_ones():
+    # straighten and canonicalize build their tableaux without re-validating
+    # them; each must equal, and hash like, the validated construction.
+    rng = random.Random(37)
+    emitted = 0
+    for n in range(2, 11):
+        for shape in two_row_shapes(n):
+            for _ in range(5):
+                q = random_tabloid(rng, shape)
+                out = straighten(TabloidExpr([(q, 1)]))
+                for t in [q.tableau, *out.tableaux()]:
+                    built = Tableau(shape, t.row1, t.row2)
+                    assert t == built and hash(t) == hash(built)
+                    assert type(t.row1) is tuple and type(t.row2) is tuple
+                    emitted += 1
+                for t, c in out.terms():
+                    assert out.coefficient(Tableau(shape, t.row1, t.row2)) == c
+    assert emitted > 500
+
+
+def test_trade_map_expr_sums_one_trade_map_per_term(monkeypatch):
+    # trade_map_expr adds the images into one sum, but it must still reach
+    # each term's trade through exactly one trade_map call: the traced
+    # straighten run of perfbench fails its coverage guard unless
+    # trades.total_trade and BooleanElement.__mul__ are called, and there
+    # only trade_map calls them.
+    image = specht.trade_map
+    calls = []
+
+    def counted(q, k):
+        calls.append(q)
+        return image(q, k)
+
+    monkeypatch.setattr(specht, "trade_map", counted)
+    shape = TwoRowShape(4, 2)
+    u = Tableau(shape, (2, 6, 1, 4), (3, 5))
+    rational = TabloidExpr(
+        [
+            (u, Fraction(1, 3)),
+            (Tableau(shape, (1, 2, 3, 4), (5, 6)), Fraction(-5, 2)),
+            (Tableau(shape, (1, 3, 5, 6), (2, 4)), 2),
+        ]
+    )
+    cases = [(rational, k) for k in (2, 3, 4)]
+    cases += [(garnir(u, c), k) for c in (1, 2, 3) for k in (2, 3, 4)]
+    for e, k in cases:
+        calls.clear()
+        expected = BooleanElement.zero(shape.n)
+        for tab, coeff in e.terms():
+            expected = expected + coeff * image(Tabloid(tab, 1), k)
+        assert trade_map_expr(e, k) == expected
+        assert len(calls) == len(e.terms())
+    # every Garnir relation cancels to zero under the trade map
+    assert all(trade_map_expr(e, k).is_zero for e, k in cases[3:])
+    assert not trade_map_expr(rational, 3).is_zero
+    assert any(type(c) is Fraction for _, c in trade_map_expr(rational, 3).terms())
+
+
 @pytest.mark.parametrize("lambda2", [1, 2, 3])
 def test_straighten_long_reversed_filling(lambda2):
     # Runs at the default recursion limit; do not raise it here.
