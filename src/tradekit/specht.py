@@ -14,16 +14,21 @@ with `garnir`.  Each rewrite strictly lowers the key (row 2 and the tops as
 bitmasks, then row 2), so a heap pass ends without recursion and expands each
 canonical tabloid at most once.  That bounds the rewrites by the number of
 canonical tabloids of shape (n - m, m), C(n, 2m)(2m - 1)!!: the 2m column
-entries, times their pairings into columns.  Each step sorts every column,
-counts the sign and orders the columns by top entry in one pass, and the
-standard survivors become tableaux without re-validation.  `trade_map_expr`
-adds the image of each term into one running sum.
+entries, times their pairings into columns.  Only the input terms are
+canonicalised from scratch.  An exchange changes two adjacent columns, or the
+last column and the tail head, so each step emits both children already
+canonical: the order of the parent fixes each child's sign, one bisection
+puts the moved column back among the others (and the moved entry into the
+tail), and each key bitmask changes by two bits.  The standard survivors
+become tableaux without re-validation.  `trade_map_expr` adds the image of
+each term into one running sum.
 """
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import combinations
 from math import prod
 from operator import gt, neg
@@ -32,7 +37,7 @@ from typing import Iterable
 from .boolean_algebra import BooleanElement
 from .combinatorics import binomial
 from .linalg import Scalar, exact, render_signed_sum
-from .trades import TradeSpec, total_trade
+from .trades import TradeSpec, _require_trade_domain, total_trade
 
 # The (row1, row2) entries of a two-row filling, as straightening handles them.
 Rows = tuple[tuple[int, ...], tuple[int, ...]]
@@ -293,16 +298,51 @@ def _canonical(rows: Rows) -> tuple[Rows, int]:
     return (tops, bottoms), sign
 
 
-def _rewrite(rows: Rows) -> list[Rows] | None:
-    # The raw fillings that canonical rows rewrite to; None when standard.
+def _children(rows: Rows, bits1: int, bits2: int) -> tuple | None:
+    # The two exchange children of canonical rows, each already canonical, as
+    # (rows, sign, bits1, bits2): the bitmasks of the column tops and of row
+    # 2.  None when the rows are standard.  The children are those of
+    # `_exchanges`; the canonical order of the parent fixes which way each
+    # changed column sorts, so only the moved column or entry is placed anew.
     r1, r2 = rows
     m = len(r2)
-    for c in range(1, m):
-        if r2[c - 1] > r2[c]:
-            return _exchanges(rows, c, 2)
-    if 0 < m < len(r1) and r1[m - 1] > r1[m]:
-        return _exchanges(rows, m, 1)
-    return None
+    for j in range(1, m):
+        if r2[j - 1] > r2[j]:
+            # Row-2 descent b > d in the columns (s, b), (a, d): the bottom b
+            # meets the top a, then the bottom d.  The first child's columns
+            # are (s, a) and (b, d); the second sorts to (d, b) at sign -1
+            # and moves right to its top d.  The second child's columns
+            # (s, d) and (a, b) are sorted and keep their places.
+            i = j - 1
+            a, b, d = r1[j], r2[i], r2[j]
+            p = bisect(r1, d, j + 1, m)
+            tops = r1[:j] + r1[j + 1 : p] + (d,) + r1[p:]
+            bottoms = r2[:i] + (a,) + r2[j + 1 : p] + (b,) + r2[p:]
+            return (
+                ((tops, bottoms), -1, bits1 - _bit(a) + _bit(d), bits2 - _bit(d) + _bit(a)),
+                ((r1, r2[:i] + (d, b) + r2[j + 1 :]), 1, bits1, bits2),
+            )
+    if not 0 < m < len(r1) or r1[m - 1] < r1[m]:
+        return None
+    # The last column (s, b) has its top above the tail head h: h meets s,
+    # then b.  The first child's column (h, b) is sorted; the second's (s, h)
+    # sorts to (h, s) at sign -1.  Both move left to their top h, and the
+    # entry given up, s or b, joins the sorted tail.
+    i = m - 1
+    s, b, h = r1[i], r2[i], r1[m]
+    p = bisect(r1, h, 0, i)
+    tops = r1[:p] + (h,) + r1[p:i]
+    bits1 += _bit(h) - _bit(s)
+    q, v = bisect(r1, s, m + 1), bisect(r1, b, m + 1)
+    return (
+        ((tops + r1[m + 1 : q] + (s,) + r1[q:], r2[:p] + (b,) + r2[p:i]), 1, bits1, bits2),
+        (
+            (tops + r1[m + 1 : v] + (b,) + r1[v:], r2[:p] + (s,) + r2[p:i]),
+            -1,
+            bits1,
+            bits2 + _bit(s) - _bit(b),
+        ),
+    )
 
 
 def _canonical_count(shape: TwoRowShape) -> int:
@@ -317,40 +357,44 @@ def straighten(e: TabloidExpr) -> TabloidExpr:
 
     One heap pass over canonical tabloids, largest key first, expands each
     once with its incoming coefficients merged, so there are at most
-    C(n, 2m)(2m - 1)!! rewrites for shape (n - m, m).  Going past that
-    bound means the key did not decrease: a bug, raised as RuntimeError.
+    C(n, 2m)(2m - 1)!! rewrites for shape (n - m, m).  Each rewrite emits
+    its two children already canonical, with their signs and keys, instead
+    of sorting every column again.  Going past that bound means the key did
+    not decrease: a bug, raised as RuntimeError.
     """
     pending: dict[Rows, Scalar] = {}
     heap: list = []
 
-    def push(raw: Rows, coeff: Scalar) -> None:
-        rows, sign = _canonical(raw)
-        if rows not in pending:
-            pending[rows] = 0
+    def push(rows: Rows, coeff: Scalar, bits1: int, bits2: int) -> None:
+        if rows in pending:
+            pending[rows] += coeff
+        else:
+            pending[rows] = coeff
             # The key (see the module docstring), negated for the min-heap.
-            r1, r2 = rows
-            bits1, bits2 = sum(map(_bit, r1[: len(r2)])), sum(map(_bit, r2))
-            heapq.heappush(heap, ((-bits2, -bits1, tuple(map(neg, r2))), rows))
-        pending[rows] += sign * coeff
+            heappush(heap, (-bits2, -bits1, tuple(map(neg, rows[1])), rows))
 
     shape = None
     for tab, coeff in e.terms():
         shape = tab.shape
-        push((tab.row1, tab.row2), coeff)
+        rows, sign = _canonical((tab.row1, tab.row2))
+        r1, r2 = rows
+        push(rows, sign * coeff, sum(map(_bit, r1[: len(r2)])), sum(map(_bit, r2)))
     fuel = 0 if shape is None else _canonical_count(shape)
     out: dict[Tableau, Scalar] = {}
     while heap:
-        rows = heapq.heappop(heap)[1]
+        bits2, bits1, _, rows = heappop(heap)
         coeff = pending.pop(rows)
-        children = _rewrite(rows) if coeff else ()
+        if not coeff:
+            continue
+        children = _children(rows, -bits1, -bits2)
         if children is None:
             out[Tableau._make(shape, *rows)] = coeff
-        elif children:
-            if not fuel:
-                raise RuntimeError("straightening fuel exhausted")
-            fuel -= 1
-            for raw in children:
-                push(raw, coeff)
+            continue
+        if not fuel:
+            raise RuntimeError("straightening fuel exhausted")
+        fuel -= 1
+        for child, sign, bits1, bits2 in children:
+            push(child, sign * coeff, bits1, bits2)
     return TabloidExpr._make(out)
 
 
@@ -367,7 +411,8 @@ def trade_map(q: Tabloid, k: int) -> BooleanElement:
     n = shape.n
     if not t < k:
         raise ValueError(f"need k > {t} for shape ({shape.lambda1}, {shape.lambda2})")
-    spec = TradeSpec(n, t, k, q.tableau.row1[: t + 1], q.tableau.row2)
+    _require_trade_domain(t, k, n)
+    spec = TradeSpec._make(n, t, k, q.tableau.row1[: t + 1], q.tableau.row2)
     return q.sign * total_trade(spec)
 
 

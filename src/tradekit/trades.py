@@ -10,7 +10,8 @@ written out term by term, because each of its terms arises exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
+from itertools import combinations, product
 from typing import Iterator
 
 from .boolean_algebra import BooleanElement, deletion_sum
@@ -56,6 +57,16 @@ class TradeSpec:
             if not 1 <= e <= self.n:
                 raise ValueError(f"element {e} outside 1..{self.n}")
 
+    @classmethod
+    def _make(cls, n: int, t: int, k: int, xs: tuple[int, ...], ys: tuple[int, ...]) -> TradeSpec:
+        # Fast path for internal callers whose (t, k, n) passed
+        # _require_trade_domain and whose xs and ys are distinct in 1..n.
+        self = cls.__new__(cls)
+        object.__setattr__(
+            self, "__dict__", {"n": n, "t": t, "k": k, "xs": xs, "ys": ys, "tail": None}
+        )
+        return self
+
 
 def minimal_trade(spec: TradeSpec) -> BooleanElement:
     """(x_1-y_1)...(x_{t+1}-y_{t+1}) x_{t+2}...x_k with the spec's fixed tail."""
@@ -80,16 +91,26 @@ def total_trade(spec: TradeSpec) -> BooleanElement:
     """
     if spec.tail is not None:
         raise ValueError("total trade takes no tail")
-    picks: list[tuple[tuple[int, ...], int]] = [((), 1)]
-    for x, y in zip(spec.xs, spec.ys):
-        picks = [(p + (x,), sign) for p, sign in picks] + [(p + (y,), -sign) for p, sign in picks]
+    # Over the reversed pairs the first pair varies fastest, so pick i takes y
+    # from the pairs at the set bits of i, and its sign is _signs(t + 1)[i].
+    picks = zip(_signs(spec.t + 1), product(*zip(spec.xs[::-1], spec.ys[::-1])))
     size = spec.k - spec.t - 1
-    if size:
-        used = set(spec.xs) | set(spec.ys)
-        rest = [x for x in range(1, spec.n + 1) if x not in used]
-        tails = list(combinations(rest, size))
-        picks = [(p + tail, sign) for p, sign in picks for tail in tails]
-    return BooleanElement._make(spec.n, {tuple(sorted(p)): sign for p, sign in picks})
+    if not size:
+        return BooleanElement._make(spec.n, {tuple(sorted(p)): sign for sign, p in picks})
+    used = set(spec.xs) | set(spec.ys)
+    tails = list(combinations([x for x in range(1, spec.n + 1) if x not in used], size))
+    return BooleanElement._make(
+        spec.n, {tuple(sorted(p + tail)): sign for sign, p in picks for tail in tails}
+    )
+
+
+@cache
+def _signs(pairs: int) -> tuple[int, ...]:
+    # (-1)^(number of bits set in i), for i < 2^pairs.
+    out = (1,)
+    for _ in range(pairs):
+        out += tuple(-s for s in out)
+    return out
 
 
 def is_t_trade(e: BooleanElement, t: int) -> bool:

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +28,11 @@ from tradekit.specht import (
     young_rule,
 )
 from tradekit import specht
-from tradekit.specht import _canonical, _canonical_count, _rewrite
-from tradekit.trades import TradeSpec, total_trade
+from tradekit.specht import _canonical, _canonical_count, _children, _exchanges
+from tradekit.trades import TradeSpec, _matchings, total_trade
+
+import specht_reference
+from specht_reference import straighten as reference_straighten
 
 
 def all_tableaux(shape):
@@ -289,9 +292,15 @@ def _key(rows):
     return sum(1 << y for y in r2), sum(1 << x for x in r1[: len(r2)]), r2
 
 
+def _masks(rows):
+    # The key bitmasks that straighten carries: the column tops, then row 2.
+    r1, r2 = rows
+    return sum(1 << x for x in r1[: len(r2)]), sum(1 << y for y in r2)
+
+
 def test_straighten_rewrites_lower_the_key():
-    # The termination argument of straighten: the rewrite of every canonical
-    # non-standard filling only reaches canonical fillings of lower key.
+    # The termination argument of straighten: the children of every canonical
+    # non-standard filling are canonical fillings of lower key.
     rewrites = 0
     for n in range(2, 8):
         for shape in two_row_shapes(n):
@@ -299,12 +308,124 @@ def test_straighten_rewrites_lower_the_key():
             # straighten's rewrite bound counts exactly these fillings
             assert len(canonical) == _canonical_count(shape)
             for rows in canonical:
-                children = _rewrite(rows)
+                children = _children(rows, *_masks(rows))
                 assert (children is None) == is_standard(Tableau(shape, *rows))
-                for raw in children or ():
-                    assert _key(_canonical(raw)[0]) < _key(rows)
+                for child, _, _, _ in children or ():
+                    assert child in canonical
+                    assert _key(child) < _key(rows)
                     rewrites += 1
     assert rewrites > 0
+
+
+def _canonical_tabloids(m, n):
+    # Every canonical filling of shape (n - m, m): 2m column entries paired
+    # into columns ordered by top, each sorted, and the rest as a sorted tail.
+    for chosen in combinations(range(1, n + 1), 2 * m):
+        tail = tuple(x for x in range(1, n + 1) if x not in chosen)
+        for pairs in _matchings(chosen):
+            yield tuple(x for x, _ in pairs) + tail, tuple(y for _, y in pairs)
+
+
+def test_children_are_the_canonical_exchanges_exhaustive():
+    # Every canonical filling with n <= 8: the incremental children equal the
+    # exchange children canonicalised from scratch, in order, sign included,
+    # and carry the bitmasks of their own rows.
+    counts = {}
+    for n in range(1, 9):
+        for m in range(n // 2 + 1):
+            shape = TwoRowShape(n - m, m)
+            tabloids = list(_canonical_tabloids(m, n))
+            assert len(tabloids) == _canonical_count(shape)
+            for rows in tabloids:
+                children = _children(rows, *_masks(rows))
+                site = specht_reference.exchange_site(rows)
+                if site is None:
+                    assert children is None
+                    assert is_standard(Tableau(shape, *rows))
+                    continue
+                raw = _exchanges(rows, *site)
+                assert len(children) == len(raw) == 2
+                for (child, sign, bits1, bits2), filling in zip(children, raw):
+                    assert (child, sign) == _canonical(filling)
+                    assert (bits1, bits2) == _masks(child)
+                    assert type(child[0]) is tuple and type(child[1]) is tuple
+                    counts[sign] = counts.get(sign, 0) + 1
+    # both signs occur, so a dropped sign cannot pass unseen
+    assert counts[1] > 0 and counts[-1] > 0
+
+
+def _typed_terms(e):
+    # The terms in the order straighten emitted them, with each coefficient's type.
+    return [(t, c, type(c)) for t, c in e._terms.items()]
+
+
+def _assert_matches_reference(e):
+    assert _typed_terms(straighten(e)) == _typed_terms(reference_straighten(e))
+
+
+def test_straighten_matches_reference_on_every_small_filling():
+    # Every filling with n <= 7, including the one-row shapes.  The reference
+    # straightens each canonical filling once; a filling's expected result is
+    # that one times the filling's canonicalisation sign.
+    for n in range(1, 8):
+        for m in range(n // 2 + 1):
+            shape = TwoRowShape(n - m, m)
+            expected = {}
+            for u in all_tableaux(shape):
+                rows, sign = specht_reference.canonical((u.row1, u.row2))
+                if rows not in expected:
+                    e = TabloidExpr([(Tableau(shape, *rows), 1)])
+                    expected[rows] = reference_straighten(e)
+                want = expected[rows] if sign == 1 else -expected[rows]
+                assert _typed_terms(straighten(TabloidExpr([(u, 1)]))) == _typed_terms(want)
+
+
+def test_straighten_matches_reference_on_seeded_fillings_and_relations():
+    rng = random.Random(41)
+    for n in range(8, 13):
+        for shape in two_row_shapes(n):
+            for _ in range(4):
+                q = random_tabloid(rng, shape)
+                _assert_matches_reference(TabloidExpr([(q, rng.randint(-3, 3) or 1)]))
+                _assert_matches_reference(garnir(q.tableau, rng.randint(1, shape.lambda1 - 1)))
+
+
+def test_straighten_matches_reference_on_long_near_hooks():
+    rng = random.Random(43)
+    for m in (1, 2):
+        for n in range(40, 65, 8):
+            xs = tuple(range(n, 0, -1))
+            _assert_matches_reference(
+                TabloidExpr([(Tableau(TwoRowShape(n - m, m), xs[: n - m], xs[n - m :]), 1)])
+            )
+            _assert_matches_reference(TabloidExpr([(random_tabloid(rng, TwoRowShape(n - m, m)), 1)]))
+
+
+def test_straighten_matches_reference_on_rational_and_cancelling_inputs():
+    rng = random.Random(47)
+    for n in range(4, 10):
+        for shape in two_row_shapes(n):
+            qs = [random_tabloid(rng, shape) for _ in range(3)]
+            rational = TabloidExpr(
+                [(q, Fraction(rng.randint(-5, 5), rng.randint(1, 4))) for q in qs]
+            )
+            _assert_matches_reference(rational)
+            # integral Fractions stay Fractions
+            _assert_matches_reference(TabloidExpr([(qs[0], Fraction(2)), (qs[1], 1)]))
+            # a Garnir relation plus a multiple of its own leading term: the
+            # relation's terms cancel in the sum and in its straightening
+            g = garnir(qs[0].tableau, 1)
+            _assert_matches_reference(g + TabloidExpr([(qs[0], Fraction(1, 2))]))
+            _assert_matches_reference(g)
+    # terms that differ only by the order of their columns and the sign:
+    # they cancel inside straighten, not in the expression
+    shape = TwoRowShape(3, 2)
+    u = Tableau(shape, (4, 1, 5), (2, 3))
+    v = Tableau(shape, (1, 2, 5), (3, 4))
+    e = TabloidExpr([(u, 1), (v, 1)])
+    assert not e.is_zero and straighten(e).is_zero
+    _assert_matches_reference(e)
+    _assert_matches_reference(TabloidExpr([(u, 1), (Tableau(shape, (2, 4, 5), (1, 3)), 1)]))
 
 
 def _sorted_columns(rows):
@@ -491,11 +612,11 @@ def test_straighten_stops_when_a_rewrite_makes_no_progress(monkeypatch):
     # the bound of C(n, 2m)(2m - 1)!! rewrites must end the pass.
     calls = []
 
-    def stuck(rows):
+    def stuck(rows, bits1, bits2):
         calls.append(rows)
-        return [rows]
+        return [(rows, 1, bits1, bits2)]
 
-    monkeypatch.setattr(specht, "_rewrite", stuck)
+    monkeypatch.setattr(specht, "_children", stuck)
     shape = TwoRowShape(2, 2)
     non_standard = TabloidExpr([(Tableau(shape, (3, 1), (4, 2)), 1)])
     with pytest.raises(RuntimeError, match="straightening fuel exhausted"):

@@ -46,6 +46,16 @@ def test_spec_validation():
         TradeSpec(6, 1, 3, (1, 3), (2, 4), (5, 6))  # wrong tail length
 
 
+def test_spec_fast_path_equals_validated_spec():
+    # trade_map builds its spec without re-validation; it must equal, and
+    # hash like, the validated construction.
+    for t, k, n in [(0, 1, 2), (1, 2, 5), (2, 4, 9)]:
+        for spec in total_trade_specs(t, k, n):
+            fast = TradeSpec._make(n, t, k, spec.xs, spec.ys)
+            assert fast == spec and hash(fast) == hash(spec) and fast.tail is None
+            assert total_trade(fast) == total_trade(spec)
+
+
 def test_minimal_trade_examples():
     assert minimal_trade(TradeSpec(2, 0, 1, (1,), (2,), ())) == elem(
         2, ((1,), 1), ((2,), -1)
@@ -119,6 +129,42 @@ def test_total_trade_equals_product_form():
                     else:
                         assert not e.is_zero and e.homogeneous_grade() == k
     assert boundary > 0
+
+
+def _pick_loop_total_trade(spec):
+    # The term-by-term expansion with an explicit pick list: each pair doubles
+    # the picks, the y side with the opposite sign, and every pick joins each
+    # tail of unused elements.
+    from itertools import combinations
+
+    picks = [((), 1)]
+    for x, y in zip(spec.xs, spec.ys):
+        picks = [(p + (x,), sign) for p, sign in picks] + [(p + (y,), -sign) for p, sign in picks]
+    size = spec.k - spec.t - 1
+    if size:
+        used = set(spec.xs) | set(spec.ys)
+        rest = [x for x in range(1, spec.n + 1) if x not in used]
+        tails = list(combinations(rest, size))
+        picks = [(p + tail, sign) for p, sign in picks for tail in tails]
+    return {tuple(sorted(p)): sign for p, sign in picks}
+
+
+def test_total_trade_matches_the_pick_loop():
+    # Every pair-normalised spec with n <= 7 at every admissible k, tails and
+    # t + k = n zero trades included: the same terms in the same order, with
+    # int coefficients.
+    zero = with_tail = 0
+    for n in range(2, 8):
+        for k in range(1, n + 1):
+            for t in range(min(k, n - k + 1)):
+                for spec in total_trade_specs(t, k, n):
+                    terms = total_trade(spec)._terms
+                    want = _pick_loop_total_trade(spec)
+                    assert list(terms.items()) == list(want.items())
+                    assert all(type(c) is int for c in terms.values())
+                    zero += not terms
+                    with_tail += bool(terms) and k > t + 1
+    assert zero > 0 and with_tail > 0
 
 
 def test_total_trade_sums_minimal_trades():
