@@ -6,62 +6,43 @@ Randomness is always seeded from the check's own parameters so reruns are
 reproducible.  Every check returns one `Report`.  One ordered table maps
 each suite name to the reports it yields over its parameter domain; `SUITES`
 lists its names, and `all` runs the suites in that order.  Only ints, int
-tuples and packed ints are memoised, once per process: the independent spun
-vectors of each stratum per (j, k, n), whose count is the span rank shared
-between `total-trade-dim`, `basis-standard` and `basis-literal-audit`, and
-their reduced form mod p as packed columns; the once-per-(k, n) checks that
-the strata are orthogonal and that they make M^k multiplicity-free; the
-size and rank of each standard-filling basis per (i, k, n), shared between
-`basis-standard` and `kernel-decomposition`; the rank of each distinct
-`MatrixSpec`, shared between `inclusion-rank`, `kernel-decomposition`,
-`intersection-rank` and `combination-rank` (W_t is ranked once for the
-first three); each left-kernel witness as an int tuple per (j, t, n); and
-the coordinate maps of the two generators of the symmetric group as int
-tuples per (k, n), shared between the stratum spins and `orbit_span`.
-On the predicted side
-`boolean_algebra.lambda_coeff` caches its values.  When n = 2k,
-`combination-rank` ranks c and reversed c as one class: complementing the
-k-sets maps |A ∩ B| = l to t - l, so the two matrices have the same columns
-in another order.
-The strata of grade k <= n/2 are j = 0..k: stratum 0 is spanned by y_0, the
-sum of all k-sets, and stratum j >= 1 by the permutations of y_j, the first
-total trade of strength j - 1.  Each is spun exactly once, and the spin
-must hold a second total trade of the stratum.  Each y_j is checked to be
-exactly orthogonal to every later stratum; both are invariant under the
-symmetric group, so the strata are orthogonal in pairs.  Nothing here reads
-the predicted side.
+tuples and packed ints are memoised, once per process, so each stratum,
+rank and check below is computed once and shared between the suites; a
+report that reuses a rank shows `ms=0`.
+Stratum j of grade k is the orbit span of y_j there: y_0 is the sum of all
+k-sets, and y_j for j >= 1 is the first total trade of strength j - 1.
+Each stratum is spun exactly once per (j, n), as T_j at its own grade j,
+under the generators (1 2) and (1 2 ... n), and the spin must hold a second
+total trade of the stratum.  No stratum is spun at any other grade.  The
+up-map W_jk^T, which sends each j-set to the sum of the k-sets that contain
+it, commutes with the symmetric group and must carry y_j of grade j exactly
+onto y_j of grade k (the same pairs, tails summed), so it maps T_j onto
+stratum j of grade k.  Once per n, the character chi_j of each T_j,
+j <= n/2, is read off its reduced rows mod 65521 at one permutation per
+cycle type and lifted to (-p/2, p/2); it must have norm 1, so T_j is
+irreducible, no two may be equal, and chi_j must be chi^{M^j} -
+chi^{M^(j-1)}, from counts of fixed subsets (Young's rule).  By Schur's
+lemma the up-map is then injective on T_j unless y_j of grade k is zero,
+which happens only on the t + k = n boundary.  Dot products move to grade
+j, as <e, W_jk^T u> = <W_jk e, u>, the deletion sum of e.  Each y_j of grade
+k is exactly orthogonal to every later stratum; both are invariant, so the
+strata are orthogonal in pairs.  Nothing here reads the predicted side.
 Every matrix rank is certified from both sides.  The mod-p certificate
 gives the floor, and left-kernel witnesses give the ceiling: a witness y_j
 at grade t with y_j^T W = 0 exactly is killed.  W is invariant under the
 symmetric group, so each killed stratum lies in the left kernel, and the
 rank is at most C(n, t) minus the killed strata's dimensions.
-Every orbit span is read from the strata, with no spin, once Theorem 1 is
-checked exactly for (k, n) in the same process.  The strata's dimensions
-add up to C(n, k), so with orthogonality M^k is their direct sum.  Each
-stratum's character chi_j is read off its reduced rows mod 65521 at one
-permutation per cycle type and lifted to (-p/2, p/2); it must have norm 1,
-so the stratum is irreducible, no two may be equal, and chi_j must be
-chi^{M^j} - chi^{M^(j-1)}, from counts of fixed subsets (Young's rule).
-Then every invariant subspace of M^k is a sum of strata.  A witness e
-exactly orthogonal to a set K of strata has its whole orbit orthogonal to
-them, and a stratum inside the orbit span cannot be, so the span is the sum
-of the strata outside K.  K must agree with the strata that e is
+Every orbit span is read from the strata, with no spin: for k <= n/2 their
+dimensions add up to C(n, k), so every invariant subspace of M^k is a sum
+of strata, and a witness e exactly orthogonal to a set K of strata spans
+the sum of the strata outside K.  K must agree with the strata that e is
 orthogonal to modulo p, through their reduced rows.
-The span rank is the orbit span of one total trade, which the symmetric
-group carries onto every other up to sign.  Above n/2, off the t + k = n
-boundary, it is read from grade n - k: complementing the k-sets commutes
-with the symmetric group and carries the first total trade exactly onto
-(-1)^(t+1) times the first one of grade n - k, which is checked.
-Every literal trade is a total trade, so the span rank is a ceiling on the
-literal rank, and the standard filling trades are literal: when the basis
-rank meets the span rank, the literal rank is the span rank, and no literal
-trade is built.  Otherwise the literal rank is certified modulo p up to that
-ceiling and stops there, with the standard filling trades pulled first.
-A report that reuses a rank shows `ms=0`, so per-suite `ms=` sums are not
-comparable with older runs.
-The strata and `orbit_span` spin a span under the two generators (1 2) and
-(1 2 ... n) of the symmetric group, acting on grade-k coordinates through
-maps read from the shared colex table.
+The span rank is stratum t + 1 of grade k, the orbit span of one total
+trade, which the symmetric group carries onto every other up to sign.  The
+up-map carries each total trade of grade t + 1 onto the one of grade k
+with the same pairs, so the standard-filling basis is ranked at grade
+t + 1.  The span rank is a ceiling on the rank of the literal trades, all
+total trades (see `literal_basis_audit`).
 """
 
 from __future__ import annotations
@@ -80,6 +61,7 @@ from .boolean_algebra import (
     BooleanElement,
     MatrixSpec,
     build_matrix,
+    deletion_sum,
     element_to_vector,
     lambda_coeff,
     permute_element,
@@ -180,7 +162,6 @@ def _matrix_rank(spec: MatrixSpec) -> int:
 def _witness(j: int, t: int, n: int) -> BooleanElement:
     # A grade-t vector in stratum j: y_0 is the sum of all t-sets, and y_j for
     # j >= 1 is the first total trade of strength j - 1, which is sparse.
-    # `_stratum` reads the same witnesses at any grade.
     if j == 0:
         return BooleanElement(n, dict.fromkeys(colex_index(t, n), 1))
     return _first_total_trade(j - 1, t, n)
@@ -203,7 +184,7 @@ def _killed_dim(killed: tuple[int, ...], t: int, n: int) -> int:
     # The dimension of the sum of the killed strata, which are pairwise
     # orthogonal and so independent.
     _require_orthogonal_strata(t, n)
-    return sum(len(_stratum(j, t, n)) for j in killed)
+    return sum(_stratum_dim(j, t, n) for j in killed)
 
 
 def _first_total_trade(t: int, k: int, n: int) -> BooleanElement:
@@ -216,66 +197,95 @@ def _first_total_trade(t: int, k: int, n: int) -> BooleanElement:
 
 
 @cache
-def _stratum(j: int, k: int, n: int) -> tuple[tuple[int, ...], ...]:
-    # The independent spun vectors of the orbit span of witness y_j at grade
-    # k.  Spinning from the generators gives the whole stratum only if they
-    # generate S_n, so a second total trade of the stratum, on the top 2j
-    # elements with nested pairs {n-2j+1, n}, {n-2j+2, n-1}, ..., must lie
-    # in the span.  No power of the n-cycle carries the first trade's pairs
-    # {1, 2}, {3, 4}, ... there once j >= 2.
-    y = _witness(j, k, n)
-    ech, spun = _spin(element_to_vector(y, k), _generator_maps(k, n))
+def _stratum(j: int, n: int) -> tuple[tuple[int, ...], ...]:
+    # T_j: the independent spun vectors of the orbit of y_j at grade j.  The
+    # spin gives the whole stratum only if the generators generate S_n, so
+    # the total trade on the top 2j elements, pairs {n-2j+1, n}, ..., must
+    # lie in the span; no power of the n-cycle carries {1, 2}, {3, 4}, ...
+    # there once j >= 2.
+    y = _witness(j, j, n)
+    ech, spun = _spin(element_to_vector(y, j), _generator_maps(j, n))
     if 1 <= j and 2 * j <= n:
         top = [x for i in range(j) for x in (n - 2 * j + 1 + i, n - i)]
         second = permute_element(Permutation(n, top + list(range(1, n - 2 * j + 1))), y)
-        if not ech.contains(element_to_vector(second, k)):
+        if not ech.contains(element_to_vector(second, j)):
             raise VerificationError(
-                f"stratum {j} at k={k} n={n}: the spun span of rank {ech.rank} "
+                f"stratum {j} at k={j} n={n}: the spun span of rank {ech.rank} "
                 "misses the total trade on the top elements"
             )
     return tuple(map(tuple, spun))
 
 
+def _up_map(e: BooleanElement, k: int) -> BooleanElement:
+    # W_jk^T e for a grade-j element e: each j-set goes to the sum of the
+    # k-sets that contain it.  It commutes with S_n.
+    return BooleanElement(
+        e.n,
+        (
+            (tuple(sorted(s + extra)), c)
+            for s, c in e.terms()
+            for extra in combinations([x for x in range(1, e.n + 1) if x not in s], k - len(s))
+        ),
+    )
+
+
+@cache
+def _stratum_dim(j: int, k: int, n: int) -> int:
+    # The dimension of stratum j of grade k: the up-map carries T_j onto it,
+    # injectively unless the lifted witness is zero (see the module docstring).
+    lifted = _up_map(_witness(j, j, n), k)
+    if lifted != _witness(j, k, n):
+        raise VerificationError(f"the up-map from grade {j} to grade {k} at n={n} misses y_{j}")
+    if lifted.is_zero:
+        return 0
+    _require_irreducible_strata(n)
+    return len(_stratum(j, n))
+
+
+def _down_terms(e: BooleanElement, k: int, j: int) -> list[tuple[int, int]]:
+    # W_jk e for a grade-k element e, as (position, coefficient) terms at
+    # grade j: e is orthogonal to stratum j of grade k iff they are to T_j.
+    index = colex_index(j, e.n)
+    return [(index[s], c) for s, c in deletion_sum(e, k - j)._terms.items()]
+
+
 @cache
 def _require_orthogonal_strata(k: int, n: int) -> None:
-    # Each witness y_j is exactly orthogonal to every later stratum.  Both
-    # the strata and the dot product are S_n-invariant, so then the strata
-    # are orthogonal in pairs, hence independent.  Needs k <= n/2, where
-    # the strata are j = 0..k.  Only the later strata are dotted: the
-    # earlier ones would cost the most, as y_j is orthogonal to them and no
-    # dot product there ends the scan early.
+    # Each witness y_j of grade k is exactly orthogonal to every later
+    # stratum, so the strata j = 0..k, k <= n/2, are orthogonal in pairs,
+    # hence independent.  The earlier strata would cost the most, as no dot
+    # product there ends the scan early.
     for j in range(k):
-        terms = [(p, c) for p, c in enumerate(_witness_vector(j, k, n)) if c]
+        y = _witness(j, k, n)
         for i in range(j + 1, k + 1):
-            if not _is_orthogonal(terms, i, k, n):
+            if not _is_orthogonal(_down_terms(y, k, i), i, n):
                 raise VerificationError(f"strata {j} and {i} at k={k} n={n} are not orthogonal")
 
 
 @cache
-def _reduced_stratum(j: int, k: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # Stratum j's spun vectors in fully reduced form mod p, rows r_i with
-    # pivots p_i: (the pivots, the packed columns), where slot i of column c
-    # is r_i[c].  The vectors must be independent mod p, so that the rows
-    # span the stratum reduced mod p and keep its dimension.
-    vectors = _stratum(j, k, n)
-    ech = _EchelonModP(binomial(n, k))
+def _reduced_stratum(j: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # T_j's spun vectors fully reduced mod p, rows r_i with pivots p_i: (the
+    # pivots, the packed columns), where slot i of column c is r_i[c].  The
+    # vectors must be independent mod p, so that the rows keep T_j's dimension.
+    vectors = _stratum(j, n)
+    ech = _EchelonModP(binomial(n, j))
     for v in vectors:
         ech.add(v)
     if ech.rank != len(vectors):
         raise VerificationError(
-            f"stratum {j} at k={k} n={n}: its {len(vectors)} vectors have rank "
+            f"stratum {j} at k={j} n={n}: its {len(vectors)} vectors have rank "
             f"{ech.rank} mod {_P}"
         )
     rows = ech.reduced_rows()
     return tuple(p for p, _ in rows), tuple(map(_pack, zip(*(r for _, r in rows))))
 
 
-def _orthogonal_mod_p(v: Vector, j: int, k: int, n: int) -> bool:
-    # v is orthogonal mod p to stratum j: all its dot products with the
-    # reduced rows, summed over v's support as packed columns, vanish mod p.
-    # Each slot stays below |supp v| p^2, so no carry crosses a slot.
-    pivots, columns = _reduced_stratum(j, k, n)
-    dots = sum(c % _P * columns[p] for p, c in enumerate(v) if c)
+def _orthogonal_mod_p(terms: list[tuple[int, int]], j: int, n: int) -> bool:
+    # The grade-j vector with these terms is orthogonal mod p to T_j's
+    # reduced rows, summed as packed columns; each slot stays below
+    # len(terms) p^2, so no carry crosses a slot.
+    pivots, columns = _reduced_stratum(j, n)
+    dots = sum(c % _P * columns[p] for p, c in terms)
     return not any(x % _P for x in _unpack(dots, len(pivots)))
 
 
@@ -331,92 +341,79 @@ def _fixed_subsets(sigma: tuple[int, ...], k: int) -> list[int]:
     return counts
 
 
-def _character(j: int, k: int, n: int, inverses: list[list[int]]) -> tuple[int, ...]:
-    # The character of stratum j at each sigma whose coordinate map sends
-    # the index of a k-set A to that of sigma^-1 A: sigma r_i has coordinate
-    # r_i[sigma^-1 p_i] on r_i, so chi(sigma) = sum_i r_i[sigma^-1 p_i] mod p.
-    # It is exact: the spun vectors are independent mod p, so sigma's matrix
-    # in their basis has no p in its denominators, and |chi| <= dim < p/2.
-    pivots, columns = _reduced_stratum(j, k, n)
+def _character(j: int, n: int, sigmas: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    # The character of T_j at each sigma (the images of 1..n): sigma r_i has
+    # coordinate r_i[sigma^-1 p_i] on the reduced row r_i with pivot p_i, so
+    # chi(sigma) = sum_i r_i[sigma^-1 p_i] mod p.  It is exact: sigma's matrix
+    # in the spun basis has no p in its denominators, and |chi| <= dim < p/2.
+    pivots, columns = _reduced_stratum(j, n)
     d = len(pivots)
     if 2 * d >= _P:
-        raise ValueError(f"stratum {j} at k={k} n={n} is too large to lift its character mod {_P}")
+        raise ValueError(f"stratum {j} at k={j} n={n} is too large to lift its character mod {_P}")
+    index = colex_index(j, n)
+    subsets = list(index)
     chi = []
-    for inverse in inverses:
-        c = sum(_slot(columns[inverse[p]], i, d) for i, p in enumerate(pivots)) % _P
+    for sigma in sigmas:
+        inverse = {y: x for x, y in enumerate(sigma, start=1)}
+        c = sum(
+            _slot(columns[index[tuple(sorted(inverse[x] for x in subsets[p]))]], i, d)
+            for i, p in enumerate(pivots)
+        ) % _P
         chi.append(c - _P if 2 * c > _P else c)
     return tuple(chi)
 
 
 @cache
-def _require_multiplicity_free(k: int, n: int) -> None:
-    # M^k, k <= n/2, is the direct sum of its strata, which are irreducible
-    # and pairwise non-isomorphic.  The strata are orthogonal and their
-    # dimensions add up to C(n, k); each character chi_j has norm
-    # sum_mu |C_mu| chi_j(mu)^2 = n!, one sigma per cycle type mu; no two
-    # characters are equal; and chi_j = chi^{M^j} - chi^{M^(j-1)} (Young's
-    # rule), where chi^{M^m}(sigma) counts the m-subsets that sigma fixes.
-    # Then every invariant subspace of M^k is a sum of strata.
-    _require_orthogonal_strata(k, n)
-    dims = [len(_stratum(j, k, n)) for j in range(k + 1)]
-    if sum(dims) != binomial(n, k):
-        raise VerificationError(
-            f"the strata at k={k} n={n} have dimensions {dims}, "
-            f"which do not fill C({n},{k}) = {binomial(n, k)}"
-        )
+def _require_irreducible_strata(n: int) -> None:
+    # T_0..T_{n/2} are irreducible and pairwise non-isomorphic: each chi_j
+    # has norm sum_mu |C_mu| chi_j(mu)^2 = n!, one sigma per cycle type mu;
+    # no two are equal; and chi_j = chi^{M^j} - chi^{M^(j-1)} (Young's rule),
+    # where chi^{M^m}(sigma) counts the m-subsets that sigma fixes.
     types = list(_cycle_types(n))
     sigmas = [_class_representative(mu) for mu in types]
     sizes = [_class_size(mu) for mu in types]
-    index = colex_index(k, n)
-    inverses = []
-    for sigma in sigmas:
-        inverse = {y: x for x, y in enumerate(sigma, start=1)}
-        inverses.append([index[tuple(sorted(inverse[x] for x in s))] for s in index])
-    # chi^{M^m}(sigma) at fixed[i][m + 1] for m = -1..k, where chi^{M^-1} = 0.
-    fixed = [[0, *_fixed_subsets(sigma, k)] for sigma in sigmas]
+    # chi^{M^m}(sigma) at fixed[i][m + 1] for m = -1..n/2, where chi^{M^-1} = 0.
+    fixed = [[0, *_fixed_subsets(sigma, n // 2)] for sigma in sigmas]
     characters: list[tuple[int, ...]] = []
-    for j in range(k + 1):
-        chi = _character(j, k, n, inverses)
+    for j in range(n // 2 + 1):
+        chi = _character(j, n, sigmas)
         norm = sum(size * c * c for size, c in zip(sizes, chi))
         if norm != factorial(n):
             raise VerificationError(
-                f"stratum {j} at k={k} n={n} is not irreducible: its character "
+                f"stratum {j} at k={j} n={n} is not irreducible: its character "
                 f"has norm {Fraction(norm, factorial(n))}"
             )
         if chi in characters:
             raise VerificationError(
-                f"strata {characters.index(chi)} and {j} at k={k} n={n} have the same character"
+                f"strata {characters.index(chi)} and {j} at n={n} have the same character"
             )
         young = tuple(f[j + 1] - f[j] for f in fixed)
         if chi != young:
             raise VerificationError(
-                f"stratum {j} at k={k} n={n}: its character is not "
+                f"stratum {j} at k={j} n={n}: its character is not "
                 f"chi^M^{j} - chi^M^{j - 1} (Young's rule)"
             )
         characters.append(chi)
 
 
-def _complement(e: BooleanElement) -> BooleanElement:
-    # Each subset replaced by its complement in 1..n, coefficients kept: a
-    # bijection from grade k onto grade n - k that commutes with S_n.
-    ground = frozenset(range(1, e.n + 1))
-    return BooleanElement(e.n, {tuple(sorted(ground - set(s))): c for s, c in e.terms()})
+@cache
+def _require_multiplicity_free(k: int, n: int) -> None:
+    # M^k, k <= n/2, is the direct sum of its strata: they are orthogonal,
+    # and their dimensions add up to C(n, k).  Each is an isomorphic image
+    # of T_j, so every invariant subspace of M^k is a sum of strata.
+    _require_orthogonal_strata(k, n)
+    dims = [_stratum_dim(j, k, n) for j in range(k + 1)]
+    if sum(dims) != binomial(n, k):
+        raise VerificationError(
+            f"the strata at k={k} n={n} have dimensions {dims}, "
+            f"which do not fill C({n},{k}) = {binomial(n, k)}"
+        )
 
 
 def _span_rank(t: int, k: int, n: int) -> int:
-    # Rank of all total trades: the orbit span of the first one.  Above n/2,
-    # off the t + k = n boundary, the complement carries that span onto the
-    # stratum of grade n - k that holds (-1)^(t+1) times the first trade
-    # there: each pair's other element is picked, so each sign flips.
-    if 2 * k <= n or t + k == n:
-        return len(_stratum(t + 1, k, n))
-    image = (-1) ** (t + 1) * _first_total_trade(t, n - k, n)
-    if _complement(_first_total_trade(t, k, n)) != image:
-        raise VerificationError(
-            f"the complement of the first total trade at t={t} k={k} n={n} is not "
-            f"(-1)^{t + 1} times the first total trade at k={n - k}"
-        )
-    return len(_stratum(t + 1, n - k, n))
+    # Rank of all total trades: stratum t + 1 of grade k.
+    _require_trade_domain(t, k, n)
+    return _stratum_dim(t + 1, k, n)
 
 
 def _strata_dim(strata: Iterable[int], n: int) -> int:
@@ -427,7 +424,11 @@ def _strata_dim(strata: Iterable[int], n: int) -> int:
 @cache
 def _basis_rank(i: int, k: int, n: int) -> tuple[int, int]:
     # The size and the rank of the standard-filling basis of stratum i + 1,
-    # shared between `basis-standard` and `kernel-decomposition`.
+    # ranked at grade i + 1 alone: the up-map carries each basis trade there
+    # onto the grade-k one with the same pairs, injectively where nonzero.
+    if k > i + 1:
+        size, rank = _basis_rank(i, i + 1, n)
+        return size, rank if _stratum_dim(i + 1, k, n) else 0
     vectors = [element_to_vector(e, k) for _, e in total_trade_basis(i, k, n)]
     return len(vectors), rank_of_columns(vectors)
 
@@ -448,16 +449,11 @@ def check_inclusion_rank(t: int, k: int, n: int) -> Report:
 def check_total_trade_dim(t: int, k: int, n: int) -> Report:
     """Span of all total trades has dimension C(n, t+1) - C(n, t).
 
-    The span is the orbit span of one total trade T(x, y), the first
-    spec's, which is stratum t + 1 of grade k, spun once per process by
-    `_stratum`.  That is the span of all of them: a permutation sigma sends
-    T(x, y) to +-T(sigma x, sigma y), and S_n is transitive on the
-    sequences of t+1 disjoint pairs, so every total trade is +- an image of
-    the first.  When 2k > n and t + k < n, no stratum of grade k is spun:
-    complementing every k-set is a bijection onto grade n - k that commutes
-    with S_n, and it must carry T(x, y) exactly onto (-1)^(t+1) times the
-    first total trade of grade n - k (else VerificationError), so the span
-    has the rank of stratum t + 1 of grade n - k.
+    The span is the orbit span of the first spec's total trade T(x, y), as
+    sigma T(x, y) = +-T(sigma x, sigma y): stratum t + 1 of grade k, at every
+    k.  It is read from T_{t+1}, spun once per process at grade t + 1, which
+    the up-map must carry exactly onto T(x, y) (else VerificationError); as
+    T_{t+1} is irreducible, the span has its dimension unless T(x, y) = 0.
 
     On the boundary t + k = n, k >= t + 2 every total trade is zero, so the
     span is 0 while the predicted value is positive: the report fails there
@@ -480,10 +476,10 @@ def check_kernel_decomposition(t: int, k: int, n: int) -> Report:
     concatenated bases are independent and fill the whole null space.  The
     kernel of W_tk is S_n-invariant and every total trade of a stratum is
     +- an image of the first, so one product per stratum tests membership.
-    Each basis trade of stratum i is a total trade, so it lies in the orbit
-    span of the first, stratum i + 1 of grade k; those strata are checked
-    orthogonal in pairs, so the rank of the concatenated bases is the sum
-    of their ranks.
+    Each basis trade of stratum i is a total trade, so it lies in stratum
+    i + 1 of grade k; those strata are checked orthogonal in pairs, so the
+    rank of the concatenated bases is the sum of their ranks, each read at
+    grade i + 1, where the up-map is injective on T_{i+1}.
     """
     _require_half(t, k, n)
     start = time.perf_counter()
@@ -699,16 +695,16 @@ def _spin(v0: Vector, maps: Sequence[Sequence[int]]) -> tuple[IntegerEchelon, li
     return ech, spun
 
 
-def _is_orthogonal(terms: list[tuple[int, int]], j: int, k: int, n: int) -> bool:
-    # The vector with these (position, coefficient) nonzero terms is exactly
-    # orthogonal to every vector of stratum j.
-    return not any(sum(c * w[p] for p, c in terms) for w in _stratum(j, k, n))
+def _is_orthogonal(terms: list[tuple[int, int]], j: int, n: int) -> bool:
+    # The grade-j vector with these (position, coefficient) nonzero terms is
+    # exactly orthogonal to every vector of T_j.
+    return not any(sum(c * w[p] for p, c in terms) for w in _stratum(j, n))
 
 
-def _orthogonal_strata(v: Vector, k: int, n: int) -> tuple[int, ...]:
-    # The strata j = 0..k that v is exactly orthogonal to.
-    terms = [(p, c) for p, c in enumerate(v) if c]
-    return tuple(j for j in range(k + 1) if _is_orthogonal(terms, j, k, n))
+def _orthogonal_strata(downs: list[list[tuple[int, int]]], n: int) -> tuple[int, ...]:
+    # The strata j that an element is exactly orthogonal to, from its terms
+    # at each grade j (`_down_terms`).
+    return tuple(j for j, terms in enumerate(downs) if _is_orthogonal(terms, j, n))
 
 
 def orbit_span(e: BooleanElement, k: int) -> IntegerEchelon:
@@ -723,12 +719,14 @@ def orbit_decomposition(e: BooleanElement, t: int) -> set[int]:
 
     Read from the strata alone, with no spin (see the module docstring):
     once M^k is checked to be multiplicity-free, the orbit span of e is the
-    sum of the strata that e is not orthogonal to.  The strata that e is
-    exactly orthogonal to must be exactly those it is orthogonal to modulo
-    p, through the strata's reduced rows; else VerificationError is raised,
-    as it is for an element whose dot products with a stratum are nonzero
-    multiples of p.  Also asserts that the strata found account exactly for
-    the span's dimension; a mismatch raises VerificationError.
+    sum of the strata that e is not orthogonal to.  e is orthogonal to
+    stratum j of grade k exactly when its deletion sum down to grade j is
+    orthogonal to T_j, the stratum spun at its own grade.  The strata found
+    so must be exactly those it is orthogonal to modulo p, through T_j's
+    reduced rows; else VerificationError is raised, as it is for an element
+    whose dot products with a stratum are nonzero multiples of p.  Also
+    asserts that the strata found account exactly for the span's dimension;
+    a mismatch raises VerificationError.
     """
     if e.is_zero:
         raise ValueError("the zero element has no orbit decomposition")
@@ -737,19 +735,21 @@ def orbit_decomposition(e: BooleanElement, t: int) -> set[int]:
     _require_half(t, k, n)
     if not is_t_trade(e, t):
         raise ValueError(f"element is not a {t}-trade")
-    # The orbit span does not change under scaling, so e is cleared to the
-    # primitive integer vector on its line.
-    v = _primitive(element_to_vector(e, k))
+    # The orbit span does not change under scaling, so e is cleared to
+    # primitive integer coefficients.
+    subsets, coeffs = zip(*e.terms())
+    e = BooleanElement._make(n, dict(zip(subsets, _primitive(coeffs))))
     _require_multiplicity_free(k, n)
-    orthogonal = _orthogonal_strata(v, k, n)
-    for j in range(k + 1):
-        if (j in orthogonal) != _orthogonal_mod_p(v, j, k, n):
+    downs = [_down_terms(e, k, j) for j in range(k + 1)]
+    orthogonal = _orthogonal_strata(downs, n)
+    for j, terms in enumerate(downs):
+        if (j in orthogonal) != _orthogonal_mod_p(terms, j, n):
             exact, mod_p = ("", "not ") if j in orthogonal else ("not ", "")
             raise VerificationError(
                 f"the element is {exact}orthogonal to stratum {j} at k={k} n={n}, "
                 f"but {mod_p}orthogonal to it modulo {_P}"
             )
-    rank = binomial(n, k) - sum(len(_stratum(j, k, n)) for j in orthogonal)
+    rank = binomial(n, k) - sum(_stratum_dim(j, k, n) for j in orthogonal)
     strata = {i for i in range(t, k) if i + 1 not in orthogonal}
     total = _strata_dim(strata, n)
     if rank != total:

@@ -3,6 +3,7 @@ import lzma
 import random
 import re
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -387,43 +388,94 @@ def test_span_rank_matches_enumeration():
         assert verify._span_rank(t, k, n) == rank_of_columns(rows), (t, k, n)
 
 
-def test_total_trade_dim_spins_no_grade_above_half(monkeypatch):
-    # Above n/2 the span rank is read from grade n - k through the
-    # complement.  Only the t + k = n boundary reads a stratum of grade
-    # k > n/2, and there every total trade is zero, so that stratum is empty.
+def test_total_trade_dim_spins_no_grade_above_half(fresh_verify_caches, monkeypatch):
+    # Each stratum is spun once per n, as T_j at its own grade j <= n/2,
+    # from the witness y_j of that grade; every other grade, n/2 or beyond,
+    # reads it through the up-map.  The t + k = n boundary at n = 2t + 1,
+    # where j = t + 1 > n/2, spins nothing, as its lifted witness is zero.
     calls = []
+    spins = []
     stratum = verify._stratum
-    monkeypatch.setattr(verify, "_stratum", lambda *a: calls.append(a) or stratum(*a))
+    spin = verify._spin
+
+    def spin_at_own_grade(v, maps):
+        j, n = calls[-1]
+        assert tuple(v) == verify._witness_vector(j, j, n)
+        assert maps == verify._generator_maps(j, n)
+        spins.append((j, n))
+        return spin(v, maps)
+
+    monkeypatch.setattr(verify, "_stratum", lambda j, n: calls.append((j, n)) or stratum(j, n))
+    monkeypatch.setattr(verify, "_spin", spin_at_own_grade)
     reports = run_suite("total-trade-dim", 9)
-    assert len(calls) == len(reports)
-    above = [(j, k, n) for j, k, n in calls if 2 * k > n]
-    assert len(above) == sum(1 for t, k, n in verify._sum_domain(9) if 2 * k > n and t + k == n)
-    assert all(j - 1 + k == n and stratum(j, k, n) == () for j, k, n in above)
+    assert any(2 * k > n for k, n in (map(r.params.get, "kn") for r in reports))
+    assert len(spins) == len(set(spins))
+    assert set(spins) == set(calls) == {(j, n) for n in range(2, 10) for j in range(n // 2 + 1)}
 
 
-def test_a_wrong_complement_trips_the_span_guard(fresh_verify_caches, monkeypatch):
-    # The first total trade of grade n - k, off by a sign, or a grade-k
-    # trade that is not complemented, is caught before any rank is read.
+def test_a_wrong_up_map_trips_the_span_guard(fresh_verify_caches, monkeypatch):
+    # An up-map that drops one tail of each j-set, or a first total trade of
+    # grade k above the stratum's own grade off by a sign, is caught before
+    # any rank is read, below n/2 and above it.
+    up_map = verify._up_map
+
+    def dropped_tail(e, k):
+        out = BooleanElement.zero(e.n)
+        for s, c in e.terms():
+            rest = [x for x in range(1, e.n + 1) if x not in s]
+            tails = list(combinations(rest, k - len(s)))[:-1]
+            out = out + BooleanElement(e.n, [(tuple(sorted(s + tail)), c) for tail in tails])
+        return out
+
+    monkeypatch.setattr(verify, "_up_map", dropped_tail)
+    with pytest.raises(verify.VerificationError, match="up-map from grade 2 to grade 3 at n=8"):
+        verify._span_rank(1, 3, 8)
+    with pytest.raises(verify.VerificationError, match="up-map from grade 2 to grade 5 at n=8"):
+        check_total_trade_dim(1, 5, 8)
+    monkeypatch.setattr(verify, "_up_map", up_map)
     first = verify._first_total_trade
-
-    def flipped(t, k, n):
-        return -first(t, k, n) if 2 * k < n else first(t, k, n)
-
-    monkeypatch.setattr(verify, "_first_total_trade", flipped)
-    with pytest.raises(verify.VerificationError, match="first total trade at t=1 k=5 n=8"):
-        verify._span_rank(1, 5, 8)
-    monkeypatch.setattr(verify, "_complement", lambda e: e)
-    monkeypatch.setattr(verify, "_first_total_trade", first)
-    with pytest.raises(verify.VerificationError, match="first total trade at t=0 k=6 n=9"):
+    monkeypatch.setattr(
+        verify, "_first_total_trade", lambda t, k, n: -first(t, k, n) if k > t + 1 else first(t, k, n)
+    )
+    with pytest.raises(verify.VerificationError, match="up-map from grade 1 to grade 6 at n=9"):
         verify._span_rank(0, 6, 9)
+    with pytest.raises(verify.VerificationError, match="up-map from grade 3 to grade 4 at n=8"):
+        check_trade_basis(2, 4, 8)
 
 
 def test_span_rank_spins_one_trade(fresh_verify_caches, add_calls):
-    # Spinning reduces the first trade and two images per span vector; the
-    # 210 total trades at (1, 3, 8) are never eliminated.
+    # Spinning T_2 at its own grade reduces the first trade and two images
+    # per span vector; the 210 total trades at (1, 3, 8) are never
+    # eliminated.  The other spins are the strata T_j of their own grades,
+    # which the character check reads, each bounded the same way.
     rank = verify._span_rank(1, 3, 8)
     assert rank == binomial(8, 2) - binomial(8, 1)
-    assert 0 < len(add_calls) <= 2 * rank + 1
+    adds = {j: [v for v in add_calls if len(v) == binomial(8, j)] for j in range(5)}
+    assert sum(map(len, adds.values())) == len(add_calls)
+    assert 0 < len(adds[2]) <= 2 * rank + 1
+    for j, vectors in adds.items():
+        assert len(vectors) <= 2 * (binomial(8, j) - binomial(8, j - 1)) + 1, j
+
+
+def test_stratum_dims_match_exact_orbit_spans():
+    # Test-side reference: spin the witness y_j at grade k exactly, as the
+    # strata were spun before they were lifted from their own grade.
+    for n in range(1, 10):
+        for k in range(n // 2 + 1):
+            for j in range(k + 1):
+                rank = orbit_span(verify._witness(j, k, n), k).rank
+                assert rank == verify._stratum_dim(j, k, n), (j, k, n)
+
+
+def test_basis_ranks_match_their_grade_k_ranks():
+    # The standard-filling basis ranked at grade k itself, over the whole
+    # sum domain, where the t + k = n boundary ranks 0 and (1, 2, 3) has no
+    # basis trade at all.
+    domain = list(verify._sum_domain(9))
+    assert (1, 3, 4) in domain and (1, 2, 3) in domain
+    for t, k, n in domain:
+        vectors = [element_to_vector(e, k) for _, e in total_trade_basis(t, k, n)]
+        assert verify._basis_rank(t, k, n) == (len(vectors), rank_of_columns(vectors)), (t, k, n)
 
 
 def test_literal_rank_stops_at_the_span_rank(add_calls):
@@ -611,10 +663,14 @@ def test_orbit_decomposition_rejects_non_trades():
 
 def test_orbit_decomposition_guard_catches_unaccounted_rank(fresh_verify_caches, monkeypatch):
     # With a zero trade standing for each stratum the spun strata 1..3 are
-    # empty, so the strata no longer fill M^3 and the check that must hold
-    # before any orbit answer reads them raises.
+    # empty.  The character check sees that first; with it skipped, the
+    # strata no longer fill M^3, and the check that must hold before any
+    # orbit answer reads them still raises.
     monkeypatch.setattr(verify, "_first_total_trade", lambda i, k, n: BooleanElement.zero(n))
     e = total_trade(TradeSpec(7, 0, 3, (1,), (2,)))
+    with pytest.raises(verify.VerificationError, match="stratum 1 at k=1 n=7 is not irreducible"):
+        orbit_decomposition(e, 0)
+    monkeypatch.setattr(verify, "_require_irreducible_strata", lambda n: None)
     with pytest.raises(
         verify.VerificationError, match=r"dimensions \[1, 0, 0, 0\], which do not fill C\(7,3\) = 35"
     ):
@@ -629,9 +685,9 @@ def test_orbit_decomposition_counts_the_strata_it_reports(fresh_verify_caches, m
     orthogonal_mod_p = verify._orthogonal_mod_p
     e = total_trade(TradeSpec(7, 0, 3, (1,), (2,)))
     verify._require_multiplicity_free(3, 7)
-    monkeypatch.setattr(verify, "_orthogonal_strata", lambda v, k, n: orthogonal_strata(v, k, n)[1:])
+    monkeypatch.setattr(verify, "_orthogonal_strata", lambda downs, n: orthogonal_strata(downs, n)[1:])
     monkeypatch.setattr(
-        verify, "_orthogonal_mod_p", lambda v, j, k, n: j != 0 and orthogonal_mod_p(v, j, k, n)
+        verify, "_orthogonal_mod_p", lambda terms, j, n: j != 0 and orthogonal_mod_p(terms, j, n)
     )
     with pytest.raises(verify.VerificationError, match=r"orbit span dimension 7 != 6"):
         orbit_decomposition(e, 0)
@@ -639,13 +695,13 @@ def test_orbit_decomposition_counts_the_strata_it_reports(fresh_verify_caches, m
 
 def test_a_stratum_wrongly_counted_orthogonal_is_caught(fresh_verify_caches, monkeypatch):
     # Fault injection: count one stratum more as orthogonal to e than the
-    # dot products show.  The reduced rows of that stratum mod p disagree,
-    # which must raise rather than give the strata without that stratum.
+    # dot products at its grade show.  The reduced rows of that stratum mod
+    # p disagree, which must raise rather than give the strata without it.
     orthogonal_strata = verify._orthogonal_strata
 
-    def one_too_many(v, k, n):
-        found = orthogonal_strata(v, k, n)
-        return found + (next(j for j in range(k + 1) if j not in found),)
+    def one_too_many(downs, n):
+        found = orthogonal_strata(downs, n)
+        return found + (next(j for j in range(len(downs)) if j not in found),)
 
     monkeypatch.setattr(verify, "_orthogonal_strata", one_too_many)
     witnesses = [
@@ -660,14 +716,14 @@ def test_a_stratum_wrongly_counted_orthogonal_is_caught(fresh_verify_caches, mon
 
 
 def test_broken_strata_orthogonality_is_caught(fresh_verify_caches, monkeypatch):
-    # Fault injection: slip the all-ones vector, which lies in stratum 0,
-    # into stratum 2.  Both the orbit answer and the matrix ceiling rest on
-    # the strata being orthogonal, so both must raise.
+    # Fault injection: slip the all-ones vector of grade 2, which lies in
+    # the lift of stratum 0, into T_2.  Both the orbit answer and the matrix
+    # ceiling rest on the strata being orthogonal, so both must raise.
     stratum = verify._stratum
 
-    def broken(j, k, n):
-        vectors = stratum(j, k, n)
-        return vectors + (verify._witness_vector(0, k, n),) if j == 2 else vectors
+    def broken(j, n):
+        vectors = stratum(j, n)
+        return vectors + (verify._witness_vector(0, j, n),) if j == 2 else vectors
 
     monkeypatch.setattr(verify, "_stratum", broken)
     e = total_trade(TradeSpec(8, 1, 3, (1, 3), (2, 4)))
@@ -681,32 +737,26 @@ def test_broken_strata_orthogonality_is_caught(fresh_verify_caches, monkeypatch)
 
 
 def test_strata_dependent_mod_p_are_caught(fresh_verify_caches, monkeypatch):
-    # Fault injection: repeat a vector of stratum 1.  Its reduced rows mod p
-    # would then have fewer rows than vectors, and the characters read off
-    # them would not be those of the stratum.
+    # Fault injection: repeat a vector of T_1.  Its reduced rows mod p would
+    # then have fewer rows than vectors, and the characters read off them
+    # would not be those of the stratum.
     stratum = verify._stratum
-    monkeypatch.setattr(
-        verify, "_stratum", lambda j, k, n: stratum(j, k, n) * (1 + (j == 1))
-    )
+    monkeypatch.setattr(verify, "_stratum", lambda j, n: stratum(j, n) * (1 + (j == 1)))
     with pytest.raises(verify.VerificationError, match="its 12 vectors have rank 6 mod 65521"):
-        verify._reduced_stratum(1, 3, 7)
+        verify._reduced_stratum(1, 7)
 
 
 def test_character_norms_and_young_rule():
-    # The stratum characters of M^k: chi_j at the identity is the stratum's
-    # dimension, C(n, j) - C(n, j-1), and at the 6-cycle only chi_0 and
-    # chi_1 are nonzero.
+    # The stratum characters, each read at the stratum's own grade: chi_j at
+    # the identity is the stratum's dimension, C(n, j) - C(n, j-1), and at
+    # the 6-cycle only chi_0 and chi_1 are nonzero.
     types = list(verify._cycle_types(6))
     assert len(types) == 11 and sorted(types) == sorted(set(types))
     assert sum(map(verify._class_size, types)) == 720
     assert verify._class_representative((3, 2, 1)) == (2, 3, 1, 5, 4, 6)
     assert verify._class_size((2, 2, 1, 1)) == 45
-    index = colex_index(3, 6)
-    identity = list(range(len(index)))
     cycle = verify._class_representative((6,))
-    inverse = {y: x for x, y in enumerate(cycle, start=1)}
-    rotation = [index[tuple(sorted(inverse[x] for x in s))] for s in index]
-    chars = [verify._character(j, 3, 6, [identity, rotation]) for j in range(4)]
+    chars = [verify._character(j, 6, [tuple(range(1, 7)), cycle]) for j in range(4)]
     assert chars == [(1, 1), (5, -1), (9, 0), (5, 0)]
     assert verify._fixed_subsets(cycle, 3) == [1, 0, 0, 0]
     assert verify._fixed_subsets(verify._class_representative((3, 3)), 3) == [1, 0, 0, 2]
@@ -722,39 +772,33 @@ def test_character_norms_and_young_rule():
 
 
 def test_a_reducible_stratum_is_caught(fresh_verify_caches, monkeypatch):
-    # Fault injection: pad stratum 2 with the vectors of stratum 3.  With
-    # stratum 3 left empty the strata still fill M^3, but stratum 2 now
-    # holds two irreducibles, so its character has norm 2.  Padded with
-    # one vector alone, the strata overfill M^3.
+    # Fault injection: pad T_2 with the all-ones vector of grade 2, the
+    # trivial module.  T_2 then holds two irreducibles, so its character
+    # has norm 2.  Padded with a repeat of one of its own vectors, and with
+    # the character check skipped, the strata overfill M^3.
     stratum = verify._stratum
-
-    def merged(j, k, n):
-        if j == 3:
-            return ()
-        return stratum(2, k, n) + stratum(3, k, n) if j == 2 else stratum(j, k, n)
-
-    monkeypatch.setattr(verify, "_stratum", merged)
-    with pytest.raises(verify.VerificationError, match="stratum 2 at k=3 n=7 is not irreducible"):
-        verify._require_multiplicity_free(3, 7)
+    ones = verify._witness_vector
     monkeypatch.setattr(
-        verify,
-        "_stratum",
-        lambda j, k, n: stratum(j, k, n) + stratum(3, k, n)[:1] if j == 2 else stratum(j, k, n),
+        verify, "_stratum", lambda j, n: stratum(j, n) + (ones(0, 2, n),) if j == 2 else stratum(j, n)
     )
-    verify._reduced_stratum.cache_clear()
-    verify._require_orthogonal_strata.cache_clear()
-    with pytest.raises(verify.VerificationError, match="which do not fill C\\(7,3\\) = 35"):
+    with pytest.raises(verify.VerificationError, match="stratum 2 at k=2 n=7 is not irreducible"):
+        verify._require_irreducible_strata(7)
+    monkeypatch.setattr(
+        verify, "_stratum", lambda j, n: stratum(j, n) + stratum(j, n)[:1] if j == 2 else stratum(j, n)
+    )
+    monkeypatch.setattr(verify, "_require_irreducible_strata", lambda n: None)
+    with pytest.raises(verify.VerificationError, match=r"dimensions \[1, 6, 15, 14\], which do not fill C\(7,3\) = 35"):
         verify._require_multiplicity_free(3, 7)
 
 
 def test_equal_stratum_characters_are_caught(fresh_verify_caches, monkeypatch):
-    # Fault injection: read stratum 1's character for stratum 2.  Each still
-    # has norm 1, so only the check that the characters differ sees it.
+    # Fault injection: read T_1's character for T_2.  Each still has norm
+    # 1, so only the check that the characters differ sees it.
     character = verify._character
     monkeypatch.setattr(
-        verify, "_character", lambda j, k, n, maps: character(1 if j == 2 else j, k, n, maps)
+        verify, "_character", lambda j, n, sigmas: character(1 if j == 2 else j, n, sigmas)
     )
-    with pytest.raises(verify.VerificationError, match="strata 1 and 2 at k=3 n=7 have the same"):
+    with pytest.raises(verify.VerificationError, match="strata 1 and 2 at n=7 have the same"):
         verify._require_multiplicity_free(3, 7)
 
 
@@ -767,7 +811,7 @@ def test_a_wrong_fixed_subset_count_breaks_young_rule(fresh_verify_caches, monke
         "_fixed_subsets",
         lambda sigma, k: [c + (m == 1) for m, c in enumerate(fixed(sigma, k))],
     )
-    with pytest.raises(verify.VerificationError, match=r"stratum 1 at k=3 n=7: .*Young's rule"):
+    with pytest.raises(verify.VerificationError, match=r"stratum 1 at k=1 n=7: .*Young's rule"):
         verify._require_multiplicity_free(3, 7)
 
 
@@ -781,7 +825,7 @@ def test_a_wrong_class_representative_is_caught(fresh_verify_caches, monkeypatch
         "_class_representative",
         lambda mu: representative((1,) * sum(mu) if len(mu) == 1 else mu),
     )
-    with pytest.raises(verify.VerificationError, match="stratum 1 at k=3 n=7 is not irreducible"):
+    with pytest.raises(verify.VerificationError, match="stratum 1 at k=1 n=7 is not irreducible"):
         verify._require_multiplicity_free(3, 7)
 
 
@@ -792,8 +836,35 @@ def test_an_unlifted_character_is_caught(fresh_verify_caches, monkeypatch):
     monkeypatch.setattr(
         verify, "_character", lambda *a: tuple(c % 65521 for c in character(*a))
     )
-    with pytest.raises(verify.VerificationError, match="stratum 1 at k=3 n=7 is not irreducible"):
+    with pytest.raises(verify.VerificationError, match="stratum 1 at k=1 n=7 is not irreducible"):
         verify._require_multiplicity_free(3, 7)
+
+
+def test_every_stratum_character_is_checked(fresh_verify_caches, monkeypatch):
+    # Fault injection, one stratum at a time: double T_j's character, so
+    # its norm is 4.  The check reads every T_j with j <= n/2, so each fault
+    # is caught, and no stratum above n/2 is read.
+    character = verify._character
+    for n in (6, 7, 8):
+        for j in range(n // 2 + 1):
+            read = []
+
+            def doubled(i, m, sigmas, j=j):
+                read.append(i)
+                chi = character(i, m, sigmas)
+                return tuple(2 * c for c in chi) if i == j else chi
+
+            monkeypatch.setattr(verify, "_character", doubled)
+            with pytest.raises(
+                verify.VerificationError, match=f"stratum {j} at k={j} n={n} is not irreducible"
+            ):
+                verify._require_irreducible_strata(n)
+            assert read == list(range(j + 1))
+    monkeypatch.setattr(verify, "_character", character)
+    read = []
+    monkeypatch.setattr(verify, "_character", lambda i, m, s: read.append(i) or character(i, m, s))
+    verify._require_irreducible_strata(9)
+    assert read == [0, 1, 2, 3, 4]
 
 
 def test_orbit_decomposition_of_a_scaled_element():
@@ -811,8 +882,8 @@ def test_a_generator_subgroup_trips_the_stratum_guard(fresh_verify_caches, monke
     for cut in (slice(0, 1), slice(1, 2)):
         monkeypatch.setattr(verify, "_generator_maps", lambda k, n, cut=cut: maps(k, n)[cut])
         verify._stratum.cache_clear()
-        with pytest.raises(verify.VerificationError, match="stratum 2 at k=3 n=8"):
-            verify._stratum(2, 3, 8)
+        with pytest.raises(verify.VerificationError, match="stratum 2 at k=2 n=8"):
+            verify._stratum(2, 8)
 
 
 def _exact_orbit_strata(e: BooleanElement, t: int) -> set[int]:
@@ -941,8 +1012,8 @@ def test_verify_all_matches_the_recorded_reports():
 def test_trade_span_ops_match_the_recorded_reports():
     # The benchmark's reference reports of its trade-span workload: every
     # trade-side public check at n = 9 with seed 0, one call per op, in the
-    # order of the `verify all` suites.  Above n/2 these reach the
-    # complement path of the span rank, and the audit's reuse of it.
+    # order of the `verify all` suites.  Above n/2 these read the span rank
+    # through the up-map, and the audit reuses it.
     n, seed = 9, 0
     sums = [(t, k) for t, k, m in verify._sum_domain(n) if m == n]
     halves = [(t, k) for t, k, m in verify._half_domain(n) if m == n]
