@@ -11,9 +11,9 @@ rank and check below is computed once and shared between the suites; a
 report that reuses a rank shows `ms=0`.
 Stratum j of grade k is the orbit span of y_j there: y_0 is the sum of all
 k-sets, and y_j for j >= 1 is the first total trade of strength j - 1.
-Each stratum is spun exactly once per (j, n), as T_j at its own grade j,
-under the generators (1 2) and (1 2 ... n), and the spin must hold a second
-total trade of the stratum.  No stratum is spun at any other grade.  The
+Each stratum is spun exactly once per (j, n) by `orbit_span`, as T_j at its
+own grade j, under the generators (1 2) and (1 2 ... n); the spin must hold
+a second total trade of the stratum, and nothing else is spun.  The
 up-map W_jk^T, which sends each j-set to the sum of the k-sets that contain
 it, commutes with the symmetric group and must carry y_j of grade j exactly
 onto y_j of grade k (the same pairs, tails summed), so it maps T_j onto
@@ -32,11 +32,11 @@ gives the floor, and left-kernel witnesses give the ceiling: a witness y_j
 at grade t with y_j^T W = 0 exactly is killed.  W is invariant under the
 symmetric group, so each killed stratum lies in the left kernel, and the
 rank is at most C(n, t) minus the killed strata's dimensions.
-Every orbit span is read from the strata, with no spin: for k <= n/2 their
-dimensions add up to C(n, k), so every invariant subspace of M^k is a sum
-of strata, and a witness e exactly orthogonal to a set K of strata spans
-the sum of the strata outside K.  K must agree with the strata that e is
-orthogonal to modulo p, through their reduced rows.
+Every orbit span, graver-jurkat's too, is read from the strata: for
+k <= n/2 their dimensions add up to C(n, k), so every invariant subspace of
+M^k is a sum of strata, and a witness e exactly orthogonal to a set K of
+strata spans the sum of the strata outside K.  K must agree with the strata
+that e is orthogonal to modulo p, through their reduced rows.
 The span rank is stratum t + 1 of grade k, the orbit span of one total
 trade, which the symmetric group carries onto every other up to sign.  The
 up-map carries each total trade of grade t + 1 onto the one of grade k
@@ -183,7 +183,7 @@ def _kills(y: Vector, rows: list[Vector]) -> bool:
 def _killed_dim(killed: tuple[int, ...], t: int, n: int) -> int:
     # The dimension of the sum of the killed strata, which are pairwise
     # orthogonal and so independent.
-    _require_orthogonal_strata(t, n)
+    _require_multiplicity_free(t, n)
     return sum(_stratum_dim(j, t, n) for j in killed)
 
 
@@ -198,13 +198,13 @@ def _first_total_trade(t: int, k: int, n: int) -> BooleanElement:
 
 @cache
 def _stratum(j: int, n: int) -> tuple[tuple[int, ...], ...]:
-    # T_j: the independent spun vectors of the orbit of y_j at grade j.  The
-    # spin gives the whole stratum only if the generators generate S_n, so
-    # the total trade on the top 2j elements, pairs {n-2j+1, n}, ..., must
-    # lie in the span; no power of the n-cycle carries {1, 2}, {3, 4}, ...
-    # there once j >= 2.
+    # T_j: the echelon rows of the orbit span of y_j at grade j, in pivot
+    # order.  The spin gives the whole stratum only if the generators
+    # generate S_n, so the total trade on the top 2j elements, pairs
+    # {n-2j+1, n}, ..., must lie in the span; no power of the n-cycle
+    # carries {1, 2}, {3, 4}, ... there once j >= 2.
     y = _witness(j, j, n)
-    ech, spun = _spin(element_to_vector(y, j), _generator_maps(j, n))
+    ech = orbit_span(y, j)
     if 1 <= j and 2 * j <= n:
         top = [x for i in range(j) for x in (n - 2 * j + 1 + i, n - i)]
         second = permute_element(Permutation(n, top + list(range(1, n - 2 * j + 1))), y)
@@ -213,7 +213,11 @@ def _stratum(j: int, n: int) -> tuple[tuple[int, ...], ...]:
                 f"stratum {j} at k={j} n={n}: the spun span of rank {ech.rank} "
                 "misses the total trade on the top elements"
             )
-    return tuple(map(tuple, spun))
+    rows = [[0] * ech.dim for _ in ech._rows]
+    for dense, row in zip(rows, ech._rows):
+        for c, x in row.items():
+            dense[c] = x
+    return tuple(map(tuple, rows))
 
 
 def _up_map(e: BooleanElement, k: int) -> BooleanElement:
@@ -250,23 +254,10 @@ def _down_terms(e: BooleanElement, k: int, j: int) -> list[tuple[int, int]]:
 
 
 @cache
-def _require_orthogonal_strata(k: int, n: int) -> None:
-    # Each witness y_j of grade k is exactly orthogonal to every later
-    # stratum, so the strata j = 0..k, k <= n/2, are orthogonal in pairs,
-    # hence independent.  The earlier strata would cost the most, as no dot
-    # product there ends the scan early.
-    for j in range(k):
-        y = _witness(j, k, n)
-        for i in range(j + 1, k + 1):
-            if not _is_orthogonal(_down_terms(y, k, i), i, n):
-                raise VerificationError(f"strata {j} and {i} at k={k} n={n} are not orthogonal")
-
-
-@cache
 def _reduced_stratum(j: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # T_j's spun vectors fully reduced mod p, rows r_i with pivots p_i: (the
+    # T_j's echelon rows fully reduced mod p, rows r_i with pivots p_i: (the
     # pivots, the packed columns), where slot i of column c is r_i[c].  The
-    # vectors must be independent mod p, so that the rows keep T_j's dimension.
+    # rows must be independent mod p, so that they keep T_j's dimension.
     vectors = _stratum(j, n)
     ech = _EchelonModP(binomial(n, j))
     for v in vectors:
@@ -398,10 +389,16 @@ def _require_irreducible_strata(n: int) -> None:
 
 @cache
 def _require_multiplicity_free(k: int, n: int) -> None:
-    # M^k, k <= n/2, is the direct sum of its strata: they are orthogonal,
-    # and their dimensions add up to C(n, k).  Each is an isomorphic image
-    # of T_j, so every invariant subspace of M^k is a sum of strata.
-    _require_orthogonal_strata(k, n)
+    # M^k, k <= n/2, is the direct sum of its strata: each witness y_j of
+    # grade k is exactly orthogonal to every later stratum (the earlier
+    # strata cost the most, as no dot product ends the scan early), and
+    # their dimensions add up to C(n, k).  Each is an isomorphic image of
+    # T_j, so every invariant subspace of M^k is a sum of strata.
+    for j in range(k):
+        y = _witness(j, k, n)
+        for i in range(j + 1, k + 1):
+            if not _is_orthogonal(_down_terms(y, k, i), i, n):
+                raise VerificationError(f"strata {j} and {i} at k={k} n={n} are not orthogonal")
     dims = [_stratum_dim(j, k, n) for j in range(k + 1)]
     if sum(dims) != binomial(n, k):
         raise VerificationError(
@@ -489,7 +486,7 @@ def check_kernel_decomposition(t: int, k: int, n: int) -> Report:
     containment = [
         not any(w.matvec(element_to_vector(_first_total_trade(i, k, n), k))) for i in range(t, k)
     ]
-    _require_orthogonal_strata(k, n)
+    _require_multiplicity_free(k, n)
     summands = [
         ((n - i - 1, i + 1), specht_dim(TwoRowShape(n - i - 1, i + 1)), _basis_rank(i, k, n)[1])
         for i in range(t, k)
@@ -682,19 +679,6 @@ def _generator_maps(k: int, n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _spin(v0: Vector, maps: Sequence[Sequence[int]]) -> tuple[IntegerEchelon, list[list[int]]]:
-    # The span of v0 closed under the coordinate maps, and the vectors that
-    # grew it.
-    ech = IntegerEchelon(len(v0))
-    spun = [list(v0)] if ech.add(v0) else []
-    for v in spun:  # grows while walked, so each new span vector is spun once
-        for m in maps:
-            w = [v[p] for p in m]
-            if ech.add(w):
-                spun.append(w)
-    return ech, spun
-
-
 def _is_orthogonal(terms: list[tuple[int, int]], j: int, n: int) -> bool:
     # The grade-j vector with these (position, coefficient) nonzero terms is
     # exactly orthogonal to every vector of T_j.
@@ -710,8 +694,34 @@ def _orthogonal_strata(downs: list[list[tuple[int, int]]], n: int) -> tuple[int,
 def orbit_span(e: BooleanElement, k: int) -> IntegerEchelon:
     """Span of the symmetric-group orbit of a grade-k element, computed by
     spinning: each new span vector has its images under the two generators
-    (1 2) and (1 2 ... n) of S_n reduced, until no image grows the span."""
-    return _spin(element_to_vector(e, k), _generator_maps(k, e.n))[0]
+    (1 2) and (1 2 ... n) of S_n reduced, until no image grows the span.
+    It is what spins each stratum T_j, from y_j at grade j."""
+    ech = IntegerEchelon(binomial(e.n, k))
+    v0 = element_to_vector(e, k)
+    spun = [v0] if ech.add(v0) else []
+    for v in spun:  # grows while walked, so each new span vector is spun once
+        for m in _generator_maps(k, e.n):
+            w = [v[p] for p in m]
+            if ech.add(w):
+                spun.append(w)
+    return ech
+
+
+def _orbit_rank(e: BooleanElement, k: int) -> tuple[int, tuple[int, ...]]:
+    # The orbit rank of a grade-k element, k <= n/2, and the strata it is
+    # exactly orthogonal to, read as in `orbit_decomposition`.
+    n = e.n
+    _require_multiplicity_free(k, n)
+    downs = [_down_terms(e, k, j) for j in range(k + 1)]
+    orthogonal = _orthogonal_strata(downs, n)
+    for j, terms in enumerate(downs):
+        if (j in orthogonal) != _orthogonal_mod_p(terms, j, n):
+            exact, mod_p = ("", "not ") if j in orthogonal else ("not ", "")
+            raise VerificationError(
+                f"the element is {exact}orthogonal to stratum {j} at k={k} n={n}, "
+                f"but {mod_p}orthogonal to it modulo {_P}"
+            )
+    return binomial(n, k) - sum(_stratum_dim(j, k, n) for j in orthogonal), orthogonal
 
 
 def orbit_decomposition(e: BooleanElement, t: int) -> set[int]:
@@ -730,8 +740,7 @@ def orbit_decomposition(e: BooleanElement, t: int) -> set[int]:
     """
     if e.is_zero:
         raise ValueError("the zero element has no orbit decomposition")
-    k = e.homogeneous_grade()
-    n = e.n
+    k, n = e.homogeneous_grade(), e.n
     _require_half(t, k, n)
     if not is_t_trade(e, t):
         raise ValueError(f"element is not a {t}-trade")
@@ -739,17 +748,7 @@ def orbit_decomposition(e: BooleanElement, t: int) -> set[int]:
     # primitive integer coefficients.
     subsets, coeffs = zip(*e.terms())
     e = BooleanElement._make(n, dict(zip(subsets, _primitive(coeffs))))
-    _require_multiplicity_free(k, n)
-    downs = [_down_terms(e, k, j) for j in range(k + 1)]
-    orthogonal = _orthogonal_strata(downs, n)
-    for j, terms in enumerate(downs):
-        if (j in orthogonal) != _orthogonal_mod_p(terms, j, n):
-            exact, mod_p = ("", "not ") if j in orthogonal else ("not ", "")
-            raise VerificationError(
-                f"the element is {exact}orthogonal to stratum {j} at k={k} n={n}, "
-                f"but {mod_p}orthogonal to it modulo {_P}"
-            )
-    rank = binomial(n, k) - sum(_stratum_dim(j, k, n) for j in orthogonal)
+    rank, orthogonal = _orbit_rank(e, k)
     strata = {i for i in range(t, k) if i + 1 not in orthogonal}
     total = _strata_dim(strata, n)
     if rank != total:
@@ -760,16 +759,16 @@ def orbit_decomposition(e: BooleanElement, t: int) -> set[int]:
 
 
 def check_graver_jurkat(t: int, k: int, n: int, seed: int = 0) -> Report:
-    """The orbit of one random minimal trade spans the whole t-trade space."""
+    """The orbit of one random minimal trade spans the t-trade space, read from the strata."""
     _require_half(t, k, n)
     start = time.perf_counter()
     rng = random.Random(_seed_from("graver-jurkat", t, k, n, seed))
-    ech = orbit_span(minimal_trade(_random_minimal_spec(rng, t, k, n)), k)
+    rank, _ = _orbit_rank(minimal_trade(_random_minimal_spec(rng, t, k, n)), k)
     return Report(
         "graver-jurkat",
         {"t": t, "k": k, "n": n, "seed": seed},
         predicted=binomial(n, k) - binomial(n, t),
-        computed=ech.rank,
+        computed=rank,
         elapsed_ms=_ms(start),
     )
 

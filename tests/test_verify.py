@@ -393,24 +393,29 @@ def test_total_trade_dim_spins_no_grade_above_half(fresh_verify_caches, monkeypa
     # from the witness y_j of that grade; every other grade, n/2 or beyond,
     # reads it through the up-map.  The t + k = n boundary at n = 2t + 1,
     # where j = t + 1 > n/2, spins nothing, as its lifted witness is zero.
+    # Over every suite, nothing else is spun: each orbit is read from the
+    # strata.
     calls = []
     spins = []
     stratum = verify._stratum
-    spin = verify._spin
+    spin = verify.orbit_span
 
-    def spin_at_own_grade(v, maps):
+    def spin_at_own_grade(e, k):
         j, n = calls[-1]
-        assert tuple(v) == verify._witness_vector(j, j, n)
-        assert maps == verify._generator_maps(j, n)
+        assert (k, e.n) == (j, n)
+        assert e == verify._witness(j, j, n)
         spins.append((j, n))
-        return spin(v, maps)
+        return spin(e, k)
 
     monkeypatch.setattr(verify, "_stratum", lambda j, n: calls.append((j, n)) or stratum(j, n))
-    monkeypatch.setattr(verify, "_spin", spin_at_own_grade)
+    monkeypatch.setattr(verify, "orbit_span", spin_at_own_grade)
     reports = run_suite("total-trade-dim", 9)
     assert any(2 * k > n for k, n in (map(r.params.get, "kn") for r in reports))
     assert len(spins) == len(set(spins))
     assert set(spins) == set(calls) == {(j, n) for n in range(2, 10) for j in range(n // 2 + 1)}
+    run_suite("all", 9)
+    assert len(spins) == len(set(spins))
+    assert set(spins) == {(j, n) for n in range(2, 10) for j in range(n // 2 + 1)}
 
 
 def test_a_wrong_up_map_trips_the_span_guard(fresh_verify_caches, monkeypatch):
@@ -545,6 +550,74 @@ def test_graver_jurkat_examples():
     assert check_graver_jurkat(0, 2, 4).computed == 5
     r = check_graver_jurkat(1, 2, 5)
     assert r.predicted == binomial(5, 2) - binomial(5, 1) == 5 and r.passed
+
+
+def _graver_jurkat_trade(t, k, n, seed):
+    # The minimal trade that check_graver_jurkat draws for these parameters.
+    rng = random.Random(verify._seed_from("graver-jurkat", t, k, n, seed))
+    return minimal_trade(verify._random_minimal_spec(rng, t, k, n))
+
+
+def test_graver_jurkat_matches_exact_orbit_spans(fresh_verify_caches, monkeypatch):
+    # Test-side reference: spin each case's minimal trade at grade k
+    # exactly.  The check reads the same rank from the strata, and once
+    # they are spun, a second run spins nothing.
+    for seed in (0, 3):
+        reports = run_suite("graver-jurkat", 9, seed)
+        assert len(reports) == 40
+        for r in reports:
+            t, k, n = map(r.params.get, "tkn")
+            exact = orbit_span(_graver_jurkat_trade(t, k, n, seed), k).rank
+            assert r.computed == exact == r.predicted, (t, k, n, seed)
+
+    def no_spin(e, k):
+        raise AssertionError("graver-jurkat spun an orbit")
+
+    monkeypatch.setattr(verify, "orbit_span", no_spin)
+    again = run_suite("graver-jurkat", 9, 3)
+    assert [(r.params, r.computed) for r in again] == [(r.params, r.computed) for r in reports]
+
+
+def test_graver_jurkat_stratum_wrongly_counted_orthogonal_is_caught(fresh_verify_caches, monkeypatch):
+    # Fault injection: count stratum t + 1 as orthogonal to the minimal
+    # trade, which the dot products at its grade do not show.  The reduced
+    # rows of that stratum mod p disagree, so the check raises.
+    orthogonal_strata = verify._orthogonal_strata
+
+    def one_too_many(downs, n):
+        found = orthogonal_strata(downs, n)
+        return found + (next(j for j in range(len(downs)) if j not in found),)
+
+    monkeypatch.setattr(verify, "_orthogonal_strata", one_too_many)
+    for t, k, n in [(0, 2, 5), (1, 3, 7), (2, 4, 9)]:
+        with pytest.raises(
+            verify.VerificationError,
+            match=f"is orthogonal to stratum {t + 1} at k={k} n={n}, but not orthogonal to it modulo 65521",
+        ):
+            check_graver_jurkat(t, k, n)
+
+
+def test_graver_jurkat_wrong_exact_dot_without_mod_p_fails(fresh_verify_caches, monkeypatch):
+    # Fault injection: make the mod-p cross-check agree with the exact
+    # dots, and get one exact dot wrong, either way.  The rank read from the
+    # strata then misses the prediction, so the report fails.  The strata
+    # are checked multiplicity-free before the fault.
+    cases = [(0, 2, 5), (1, 3, 7), (2, 4, 9)]
+    for t, k, n in cases:
+        verify._require_multiplicity_free(k, n)
+    is_orthogonal = verify._is_orthogonal
+    monkeypatch.setattr(verify, "_orthogonal_mod_p", lambda terms, j, n: verify._is_orthogonal(terms, j, n))
+    for t, k, n in cases:
+        for wrong in (t, t + 1):
+            monkeypatch.setattr(
+                verify,
+                "_is_orthogonal",
+                lambda terms, j, n, wrong=wrong: is_orthogonal(terms, j, n) != (j == wrong),
+            )
+            r = check_graver_jurkat(t, k, n)
+            assert not r.passed, (t, k, n, wrong)
+            dim = binomial(n, wrong) - binomial(n, wrong - 1)
+            assert r.computed == r.predicted + (dim if wrong == t else -dim), (t, k, n, wrong)
 
 
 def test_orbit_span_of_total_trade():
@@ -731,8 +804,10 @@ def test_broken_strata_orthogonality_is_caught(fresh_verify_caches, monkeypatch)
         orbit_decomposition(e, 1)
     with pytest.raises(verify.VerificationError, match="strata 0 and 2 at k=2 n=6"):
         verify._matrix_rank(MatrixSpec.combination(6, 2, 3, (1, -2, 1)))
-    # kernel-decomposition sums the stratum ranks only for orthogonal strata
-    with pytest.raises(verify.VerificationError, match="strata 0 and 2 at k=3 n=7"):
+    # kernel-decomposition sums the stratum ranks only for orthogonal strata;
+    # its matrix rank first reads the strata at n = 7, where the padded T_2
+    # is not irreducible
+    with pytest.raises(verify.VerificationError, match="stratum 2 at k=2 n=7"):
         check_kernel_decomposition(1, 3, 7)
 
 
@@ -890,7 +965,7 @@ def _exact_orbit_strata(e: BooleanElement, t: int) -> set[int]:
     # The strata found by spinning e's orbit exactly: the span is invariant,
     # so it holds stratum i exactly when it holds one total trade of it.
     k, n = e.homogeneous_grade(), e.n
-    ech = orbit_span(e, k)
+    ech = verify.orbit_span(e, k)
     strata = {
         i
         for i in range(t, k)
@@ -906,8 +981,8 @@ def test_certified_orbit_decomposition_matches_the_exact_path(fresh_verify_cache
     # spins of every witness report the same strata.
     certified = run_suite("orbit-decomposition", 9)
     spins = []
-    spin = verify._spin
-    monkeypatch.setattr(verify, "_spin", lambda v, maps: spins.append(v) or spin(v, maps))
+    spin = verify.orbit_span
+    monkeypatch.setattr(verify, "orbit_span", lambda e, k: spins.append(e) or spin(e, k))
     again = run_suite("orbit-decomposition", 9)
     assert spins == []
     monkeypatch.setattr(verify, "orbit_decomposition", _exact_orbit_strata)
