@@ -16,9 +16,10 @@ A caller that has proved an upper bound on the rank passes it as `ceiling`;
 then the certificate skips vectors that are dependent mod p and answers as
 soon as `ceiling` of them are independent, since
 rank_Q >= rank_p = ceiling >= rank_Q.  Everything else goes to
-`IntegerEchelon`.  The certificate's one mod-p eliminator, `_EchelonModP`,
-also gives `verify` the fully reduced rows mod p of each stratum, from
-which it reads the stratum's character.
+`IntegerEchelon`.  `_EchelonModP` is the certificate's one mod-p
+eliminator.  `verify` reads each stratum's character off its fully reduced
+rows mod p, which `_reduced_mod_p` gets from the stratum's exact echelon
+rows by one back substitution, with no second elimination.
 The plain rational reduction that the rank is tested against lives with the
 tests, not here.
 Text is output only: `render_dense` and `render_sparse` write the two matrix
@@ -203,8 +204,8 @@ def _slot(w: int, i: int, dim: int) -> int:
 
 
 class _EchelonModP:
-    """Row echelon form modulo `_P` of packed integer vectors, the one mod-p
-    eliminator.
+    """Row echelon form modulo `_P` of packed integer vectors, the
+    certificate's one mod-p eliminator.
 
     Each vector is one int with a `_SLOT`-bit slot per coordinate; packing
     takes each coordinate mod `_P`, which raises `TypeError` for any cell
@@ -248,26 +249,39 @@ class _EchelonModP:
         self.rows.append((_shift(pivot, dim), int.from_bytes(row.tobytes(), sys.byteorder)))
         return row
 
-    def reduced_rows(self) -> list[tuple[int, array]]:
-        """The stored rows in fully reduced form, as (pivot, slots) pairs in
-        insertion order.  Back substitution, from the last row up, also
-        clears every later pivot, so each row is 1 at its own pivot and 0 at
-        every other.  A later row with a smaller pivot is never subtracted,
-        so the pivot stays the first nonzero slot.  Each row takes at most
-        `rank` row operations, within the same slot bound."""
-        dim = self.dim
-        mask = (1 << _SLOT) - 1
-        done: list[tuple[int, int]] = []  # fully reduced rows, the last one first
-        out = []
-        for shift, w in reversed(self.rows):
-            for s, row in done:
-                c = ((w >> s) & mask) % _P
-                if c:
-                    w += (_P - c) * row
-            slots = array("Q", [x % _P for x in _unpack(w, dim)])
-            done.append((shift, int.from_bytes(slots.tobytes(), sys.byteorder)))
-            out.append((next(j for j, x in enumerate(slots) if x), slots))
-        return out[::-1]
+
+def _reduced_mod_p(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[int, array]] | None:
+    """Integer rows in echelon form, fully reduced mod `_P` by one back
+    substitution: (pivot, slots) pairs in the given order, each row 1 at its
+    own pivot and 0 at every other.  None unless the first nonzero positions
+    strictly increase and no first nonzero entry is divisible by `_P`.  Such
+    rows are independent mod `_P`, and their reduced form mod `_P` is that
+    of the rational one, whose denominators divide products of those
+    entries.  From the last row up, each row is cleared at every later
+    pivot by the later rows, which are zero before their own pivots, so
+    each pivot stays its row's first nonzero slot.  The later rows are
+    already fully reduced, so no row operation changes another later
+    pivot's slot, and every multiplier is read off the packed row once.
+    That takes at most `len(rows)` row operations, within `_EchelonModP`'s
+    slot bound."""
+    done: list[tuple[int, int]] = []  # (pivot, packed row) fully reduced, the last one first
+    out = []
+    bound = dim
+    for v in reversed(rows):
+        pivot = next((j for j, x in enumerate(v) if x), bound)
+        if pivot >= bound or not v[pivot] % _P:
+            return None
+        bound = pivot
+        w = _pack(v)
+        residues = _unpack(w, dim)
+        for q, row in done:
+            if c := residues[q]:
+                w += (_P - c) * row
+        inv = pow(v[pivot], -1, _P)
+        slots = array("Q", [x * inv % _P for x in _unpack(w, dim)])
+        done.append((pivot, int.from_bytes(slots.tobytes(), sys.byteorder)))
+        out.append((pivot, slots))
+    return out[::-1]
 
 
 def _independent_mod_p(

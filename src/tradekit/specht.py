@@ -240,26 +240,6 @@ def render_expr(e: TabloidExpr) -> str:
     return render_signed_sum((render_tableau(t), c) for t, c in e.terms())
 
 
-def _exchanges(rows: Rows, c: int, row: int) -> list[Rows]:
-    # Raw fillings reached by the column exchange at columns (c, c+1), 1-based.
-    #
-    # For a first-row descent (row 1) this is the relation of `garnir`: the
-    # top of column c+1 exchanges with each entry of column c.  A second-row
-    # descent (row 2) needs the mirrored relation, the bottom of column c
-    # against each entry of column c+1: the top-exchange relation alone sends
-    # these tabloids back and forth without progress.
-    i = c - 1
-    # The moving cell (row, index) and the index of the column it meets.
-    (ra, ia), j = ((0, i + 1), i) if row == 1 else ((1, i), i + 1)
-    out = []
-    for rb in (0, 1):
-        if j < len(rows[rb]):
-            swapped = [list(rows[0]), list(rows[1])]
-            swapped[ra][ia], swapped[rb][j] = swapped[rb][j], swapped[ra][ia]
-            out.append((tuple(swapped[0]), tuple(swapped[1])))
-    return out
-
-
 def garnir(u: Tableau, c: int) -> TabloidExpr:
     """The adjacent-column relation at columns c, c+1 (1-based), canonicalized.
 
@@ -271,9 +251,12 @@ def garnir(u: Tableau, c: int) -> TabloidExpr:
     shape = u.shape
     if not 1 <= c <= shape.lambda1 - 1:
         raise ValueError(f"column must lie in 1..{shape.lambda1 - 1}, got {c}")
-    terms = [(u, 1)]
-    for r1, r2 in _exchanges((u.row1, u.row2), c, 1):
-        terms.append((Tableau(shape, r1, r2), -1))
+    r1, r2 = u.row1, u.row2
+    i, top = c - 1, r1[c]
+    rest = r1[c + 1 :]
+    terms = [(u, 1), (Tableau(shape, r1[:i] + (top, r1[i]) + rest, r2), -1)]
+    if i < len(r2):
+        terms.append((Tableau(shape, r1[:c] + (r2[i],) + rest, r2[:i] + (top,) + r2[c:]), -1))
     return TabloidExpr(terms)
 
 
@@ -301,9 +284,10 @@ def _canonical(rows: Rows) -> tuple[Rows, int]:
 def _children(rows: Rows, bits1: int, bits2: int) -> tuple | None:
     # The two exchange children of canonical rows, each already canonical, as
     # (rows, sign, bits1, bits2): the bitmasks of the column tops and of row
-    # 2.  None when the rows are standard.  The children are those of
-    # `_exchanges`; the canonical order of the parent fixes which way each
-    # changed column sorts, so only the moved column or entry is placed anew.
+    # 2.  None when the rows are standard.  The children are the raw
+    # fillings of the column exchange at the rewrite's descent, canonical;
+    # the canonical order of the parent fixes which way each changed column
+    # sorts, so only the moved column or entry is placed anew.
     r1, r2 = rows
     m = len(r2)
     for j in range(1, m):

@@ -17,9 +17,10 @@ a second total trade of the stratum, and nothing else is spun.  The
 up-map W_jk^T, which sends each j-set to the sum of the k-sets that contain
 it, commutes with the symmetric group and must carry y_j of grade j exactly
 onto y_j of grade k (the same pairs, tails summed), so it maps T_j onto
-stratum j of grade k.  Once per n, the character chi_j of each T_j,
-j <= n/2, is read off its reduced rows mod 65521 at one permutation per
-cycle type and lifted to (-p/2, p/2); it must have norm 1, so T_j is
+stratum j of grade k.  Once per n, the spin's exact echelon rows of each
+T_j, j <= n/2, are back-substituted mod 65521, with no second elimination,
+and its character chi_j is read off those reduced rows at one permutation
+per cycle type and lifted to (-p/2, p/2); it must have norm 1, so T_j is
 irreducible, no two may be equal, and chi_j must be chi^{M^j} -
 chi^{M^(j-1)}, from counts of fixed subsets (Young's rule).  By Schur's
 lemma the up-map is then injective on T_j unless y_j of grade k is zero,
@@ -72,8 +73,8 @@ from .linalg import (
     _P,
     IntegerEchelon,
     Vector,
-    _EchelonModP,
     _pack,
+    _reduced_mod_p,
     _slot,
     _unpack,
     rank_of_columns,
@@ -255,19 +256,17 @@ def _down_terms(e: BooleanElement, k: int, j: int) -> list[tuple[int, int]]:
 
 @cache
 def _reduced_stratum(j: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # T_j's echelon rows fully reduced mod p, rows r_i with pivots p_i: (the
-    # pivots, the packed columns), where slot i of column c is r_i[c].  The
-    # rows must be independent mod p, so that they keep T_j's dimension.
+    # T_j's exact echelon rows back-substituted mod p, rows r_i with pivots
+    # p_i: (the pivots, the packed columns), where slot i of column c is
+    # r_i[c].  The pivots must strictly increase and be nonzero mod p, so
+    # that the rows stay independent mod p and keep T_j's dimension.
     vectors = _stratum(j, n)
-    ech = _EchelonModP(binomial(n, j))
-    for v in vectors:
-        ech.add(v)
-    if ech.rank != len(vectors):
+    rows = _reduced_mod_p(vectors, binomial(n, j))
+    if rows is None:
         raise VerificationError(
-            f"stratum {j} at k={j} n={n}: its {len(vectors)} vectors have rank "
-            f"{ech.rank} mod {_P}"
+            f"stratum {j} at k={j} n={n}: its {len(vectors)} rows are not in echelon "
+            f"form with pivots nonzero mod {_P}"
         )
-    rows = ech.reduced_rows()
     return tuple(p for p, _ in rows), tuple(map(_pack, zip(*(r for _, r in rows))))
 
 

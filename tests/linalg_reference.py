@@ -2,12 +2,16 @@
 
 `kernel_basis` is a plain rational Gauss-Jordan reduction that shares no
 code with `IntegerEchelon`, so the tests use it as the independent
-reference for every rank the library computes.
+reference for every rank the library computes.  `eliminated_reduced_rows`
+is the reduction mod p that the library's single back substitution
+replaced: an `_EchelonModP` forward pass, then back substitution.
 """
 
+import sys
+from array import array
 from fractions import Fraction
 
-from tradekit.linalg import RationalMatrix, Vector
+from tradekit.linalg import _P, _SLOT, RationalMatrix, Vector, _EchelonModP, _unpack
 
 
 def zeros(nrows: int, ncols: int) -> RationalMatrix:
@@ -58,3 +62,25 @@ def kernel_basis(m: RationalMatrix) -> list[Vector]:
             v[pc] = -rows[i][free]
         basis.append(tuple(v))
     return basis
+
+
+def eliminated_reduced_rows(vectors, dim):
+    """The fully reduced rows mod p of integer vectors, as (pivot, slots)
+    pairs in insertion order, or None when the vectors are dependent mod p.
+    Each vector is first eliminated by `_EchelonModP.add`; then, from the
+    last stored row up, each row is cleared at every later pivot."""
+    ech = _EchelonModP(dim)
+    if any(ech.add(v) is None for v in vectors):
+        return None
+    mask = (1 << _SLOT) - 1
+    done = []  # fully reduced rows, the last one first
+    out = []
+    for shift, w in reversed(ech.rows):
+        for s, row in done:
+            c = ((w >> s) & mask) % _P
+            if c:
+                w += (_P - c) * row
+        slots = array("Q", [x % _P for x in _unpack(w, dim)])
+        done.append((shift, int.from_bytes(slots.tobytes(), sys.byteorder)))
+        out.append((next(j for j, x in enumerate(slots) if x), slots))
+    return out[::-1]

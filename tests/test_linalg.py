@@ -10,8 +10,8 @@ from tradekit.boolean_algebra import MatrixSpec, build_matrix
 from tradekit.linalg import (
     IntegerEchelon,
     RationalMatrix,
-    _EchelonModP,
     _independent_mod_p,
+    _reduced_mod_p,
     in_span,
     rank_of_columns,
     render_dense,
@@ -162,22 +162,49 @@ def _rref_mod(rows, p):
     return out
 
 
+def _echelon_rows(vectors, dim):
+    # The exact echelon rows of the vectors' span, dense, in pivot order.
+    ech = IntegerEchelon(dim)
+    for v in vectors:
+        ech.add(v)
+    return [[row.get(c, 0) for c in range(dim)] for row in ech._rows]
+
+
 def test_reduced_rows_are_the_reduced_echelon_form_mod_p():
-    # Back substitution gives each stored row 1 at its pivot and 0 at every
-    # other pivot, in insertion order; sorted by pivot they are the RREF.
+    # Back substitution of exact echelon rows gives each row 1 at its pivot
+    # and 0 at every other pivot, in the given order: the RREF mod p.
     rng = random.Random(11)
     p = 65521
     for nrows, ncols in [(1, 1), (3, 5), (6, 6), (9, 7), (12, 20)]:
         rows = [[rng.choice((0, 0, 1, -1, 2, 65520)) for _ in range(ncols)] for _ in range(nrows)]
-        ech = _EchelonModP(ncols)
-        inserted = [r for r in rows if ech.add(r) is not None]
-        reduced = ech.reduced_rows()
-        assert len(reduced) == ech.rank == len(inserted)
+        echelon = _echelon_rows(rows, ncols)
+        reduced = _reduced_mod_p(echelon, ncols)
+        assert len(reduced) == len(echelon)
         pivots = [q for q, _ in reduced]
+        assert pivots == sorted(set(pivots))
         for q, row in reduced:
             assert row[q] == 1 and all(row[o] == 0 for o in pivots if o != q)
             assert next(j for j, x in enumerate(row) if x) == q
-        assert [list(r) for _, r in sorted(reduced)] == _rref_mod(rows, p)
+        assert [list(r) for _, r in reduced] == _rref_mod(echelon, p)
+    assert _reduced_mod_p([], 3) == []
+
+
+def test_reduced_rows_refuse_rows_out_of_echelon_form():
+    # Pivots that repeat or decrease, a zero row, or a pivot entry divisible
+    # by p: the rows need not be independent mod p, so nothing is reduced.
+    for rows in (
+        [(1, 0, 0), (1, 1, 0)],
+        [(0, 1, 0), (1, 0, 0)],
+        [(1, 0, 0), (0, 0, 0)],
+        [(1, 2, 3), (0, 65521, 1)],
+        [(-2 * 65521, 1, 0)],
+    ):
+        assert _reduced_mod_p(rows, 3) is None
+    # a multiple of p after the pivot is fine
+    assert [list(r) for _, r in _reduced_mod_p([(2, 65521, 0), (0, 0, -1)], 3)] == [
+        [1, 0, 0],
+        [0, 0, 1],
+    ]
 
 
 def test_ceiling_reached_answers_alone(add_calls):

@@ -28,7 +28,7 @@ from tradekit.specht import (
     young_rule,
 )
 from tradekit import specht
-from tradekit.specht import _canonical, _canonical_count, _children, _exchanges
+from tradekit.specht import _canonical, _canonical_count, _children
 from tradekit.trades import TradeSpec, _matchings, total_trade
 
 import specht_reference
@@ -343,7 +343,7 @@ def test_children_are_the_canonical_exchanges_exhaustive():
                     assert children is None
                     assert is_standard(Tableau(shape, *rows))
                     continue
-                raw = _exchanges(rows, *site)
+                raw = specht_reference.exchanges(rows, *site)
                 assert len(children) == len(raw) == 2
                 for (child, sign, bits1, bits2), filling in zip(children, raw):
                     assert (child, sign) == _canonical(filling)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from linalg_reference import kernel_basis
+from linalg_reference import eliminated_reduced_rows, kernel_basis
 from tradekit import linalg, verify
 from tradekit.boolean_algebra import (
     BooleanElement,
@@ -788,6 +788,15 @@ def test_a_stratum_wrongly_counted_orthogonal_is_caught(fresh_verify_caches, mon
             orbit_decomposition(e, t)
 
 
+def _padded(vectors, extra):
+    # The exact echelon rows of the span of the vectors and `extra`, in pivot
+    # order, so that a padded stratum still passes the echelon check.
+    ech = IntegerEchelon(len(extra))
+    for v in (*vectors, extra):
+        ech.add(v)
+    return tuple(tuple(row.get(c, 0) for c in range(ech.dim)) for row in ech._rows)
+
+
 def test_broken_strata_orthogonality_is_caught(fresh_verify_caches, monkeypatch):
     # Fault injection: slip the all-ones vector of grade 2, which lies in
     # the lift of stratum 0, into T_2.  Both the orbit answer and the matrix
@@ -796,7 +805,7 @@ def test_broken_strata_orthogonality_is_caught(fresh_verify_caches, monkeypatch)
 
     def broken(j, n):
         vectors = stratum(j, n)
-        return vectors + (verify._witness_vector(0, j, n),) if j == 2 else vectors
+        return _padded(vectors, verify._witness_vector(0, j, n)) if j == 2 else vectors
 
     monkeypatch.setattr(verify, "_stratum", broken)
     e = total_trade(TradeSpec(8, 1, 3, (1, 3), (2, 4)))
@@ -807,18 +816,55 @@ def test_broken_strata_orthogonality_is_caught(fresh_verify_caches, monkeypatch)
     # kernel-decomposition sums the stratum ranks only for orthogonal strata;
     # its matrix rank first reads the strata at n = 7, where the padded T_2
     # is not irreducible
-    with pytest.raises(verify.VerificationError, match="stratum 2 at k=2 n=7"):
+    with pytest.raises(verify.VerificationError, match="stratum 2 at k=2 n=7 is not irreducible"):
         check_kernel_decomposition(1, 3, 7)
 
 
 def test_strata_dependent_mod_p_are_caught(fresh_verify_caches, monkeypatch):
-    # Fault injection: repeat a vector of T_1.  Its reduced rows mod p would
-    # then have fewer rows than vectors, and the characters read off them
-    # would not be those of the stratum.
+    # Fault injection: repeat the vectors of T_1.  Its reduced rows mod p
+    # would then have fewer rows than vectors, and the characters read off
+    # them would not be those of the stratum; the repeats restart the
+    # pivots, so the echelon check refuses them.
     stratum = verify._stratum
     monkeypatch.setattr(verify, "_stratum", lambda j, n: stratum(j, n) * (1 + (j == 1)))
-    with pytest.raises(verify.VerificationError, match="its 12 vectors have rank 6 mod 65521"):
+    with pytest.raises(
+        verify.VerificationError,
+        match="stratum 1 at k=1 n=7: its 12 rows are not in echelon form with pivots nonzero mod 65521",
+    ):
         verify._reduced_stratum(1, 7)
+
+
+def test_reduced_strata_match_the_eliminated_reference():
+    # One back substitution of T_j's exact echelon rows gives what a full
+    # forward elimination mod p followed by back substitution gives.
+    for n in range(1, 11):
+        for j in range(n // 2 + 1):
+            rows = eliminated_reduced_rows(verify._stratum(j, n), binomial(n, j))
+            expected = (
+                tuple(p for p, _ in rows),
+                tuple(map(linalg._pack, zip(*(r for _, r in rows)))),
+            )
+            assert verify._reduced_stratum(j, n) == expected, (j, n)
+
+
+def test_stratum_rows_out_of_echelon_form_are_caught(fresh_verify_caches, monkeypatch):
+    # Fault injection on T_2 at n = 7: rows out of pivot order, and a row
+    # scaled by p, which keeps the exact span but not the rank mod p, are
+    # refused before any character is read; a dropped row keeps the echelon
+    # form but breaks the character's norm.
+    stratum = verify._stratum
+    faults = [
+        (lambda rows: rows[1:2] + rows[:1] + rows[2:], "its 14 rows are not in echelon form"),
+        (lambda rows: rows[:-1] + (tuple(65521 * x for x in rows[-1]),), "its 14 rows are not in echelon form"),
+        (lambda rows: rows[:-1], "is not irreducible"),
+    ]
+    for fault, message in faults:
+        verify._reduced_stratum.cache_clear()
+        monkeypatch.setattr(
+            verify, "_stratum", lambda j, n, fault=fault: fault(stratum(j, n)) if j == 2 else stratum(j, n)
+        )
+        with pytest.raises(verify.VerificationError, match=f"stratum 2 at k=2 n=7.* {message}"):
+            verify._require_irreducible_strata(7)
 
 
 def test_character_norms_and_young_rule():
@@ -854,7 +900,7 @@ def test_a_reducible_stratum_is_caught(fresh_verify_caches, monkeypatch):
     stratum = verify._stratum
     ones = verify._witness_vector
     monkeypatch.setattr(
-        verify, "_stratum", lambda j, n: stratum(j, n) + (ones(0, 2, n),) if j == 2 else stratum(j, n)
+        verify, "_stratum", lambda j, n: _padded(stratum(j, n), ones(0, 2, n)) if j == 2 else stratum(j, n)
     )
     with pytest.raises(verify.VerificationError, match="stratum 2 at k=2 n=7 is not irreducible"):
         verify._require_irreducible_strata(7)
