@@ -29,10 +29,10 @@ j, as <e, W_jk^T u> = <W_jk e, u>, the deletion sum of e.  Each y_j of grade
 k is exactly orthogonal to every later stratum; both are invariant, so the
 strata are orthogonal in pairs.  Nothing here reads the predicted side.
 Every matrix rank is certified from both sides.  The mod-p certificate
-gives the floor, and left-kernel witnesses give the ceiling: a witness y_j
-at grade t with y_j^T W = 0 exactly is killed.  W is invariant under the
-symmetric group, so each killed stratum lies in the left kernel, and the
-rank is at most C(n, t) minus the killed strata's dimensions.
+gives the floor, and the orbit rank of W's first column gives the ceiling:
+W[sA, sB] = W[A, B] for every permutation s, so the column of sB is s
+applied to the column of B_0 = {1..k}, and as S_n is transitive on the
+k-sets, W's column space is the orbit span of that one column in M^t.
 Every orbit span, graver-jurkat's too, is read from the strata: for
 k <= n/2 their dimensions add up to C(n, k), so every invariant subspace of
 M^k is a sum of strata, and a witness e exactly orthogonal to a set K of
@@ -72,7 +72,6 @@ from .combinatorics import Permutation, binomial, colex_index
 from .linalg import (
     _P,
     IntegerEchelon,
-    Vector,
     _pack,
     _reduced_mod_p,
     _slot,
@@ -151,13 +150,14 @@ def _require_half(t: int, k: int, n: int) -> None:
 
 @cache
 def _matrix_rank(spec: MatrixSpec) -> int:
-    # The certificate's floor meets the left-kernel witnesses' ceiling (see
-    # the module docstring); W[sA, sB] = W[A, B] for every permutation s.
+    # The certificate's floor meets the ceiling read from W's first column,
+    # of B_0 = {1..k}, as the grade-t element with W[A, B_0] at each t-set A:
+    # its orbit span is W's column space (see the module docstring), and
+    # t <= n/2 in every matrix suite.
     m = build_matrix(spec)
     t, n = spec.t, spec.n
-    rows = list(m.rows())
-    killed = tuple(j for j in range(t + 1) if _kills(_witness_vector(j, t, n), rows))
-    return m.rank(ceiling=binomial(n, t) - _killed_dim(killed, t, n))
+    column = {s: c for s, i in colex_index(t, n).items() if (c := m.entry(i, 0))}
+    return m.rank(ceiling=_orbit_rank(BooleanElement._make(n, column), t)[0])
 
 
 def _witness(j: int, t: int, n: int) -> BooleanElement:
@@ -166,26 +166,6 @@ def _witness(j: int, t: int, n: int) -> BooleanElement:
     if j == 0:
         return BooleanElement(n, dict.fromkeys(colex_index(t, n), 1))
     return _first_total_trade(j - 1, t, n)
-
-
-@cache
-def _witness_vector(j: int, t: int, n: int) -> tuple[int, ...]:
-    # The coordinates of `_witness(j, t, n)`: every coefficient is 0 or +-1.
-    return element_to_vector(_witness(j, t, n), t)
-
-
-def _kills(y: Vector, rows: list[Vector]) -> bool:
-    # y^T W = 0 exactly: the signed sum of the rows y picks is zero.  For y_0
-    # that is the column sums.
-    picked = (r if c == 1 else [c * x for x in r] for c, r in zip(y, rows) if c)
-    return not any(map(sum, zip(*picked)))
-
-
-def _killed_dim(killed: tuple[int, ...], t: int, n: int) -> int:
-    # The dimension of the sum of the killed strata, which are pairwise
-    # orthogonal and so independent.
-    _require_multiplicity_free(t, n)
-    return sum(_stratum_dim(j, t, n) for j in killed)
 
 
 def _first_total_trade(t: int, k: int, n: int) -> BooleanElement:
@@ -532,6 +512,8 @@ def _primitive(coeffs: Sequence) -> tuple[int, ...]:
     # entries and a positive first nonzero entry.
     m = lcm(*(c.denominator for c in coeffs))
     ints = [c.numerator * (m // c.denominator) for c in coeffs]
+    if not any(ints):
+        raise ValueError("the zero vector has no primitive representative")
     g = gcd(*ints)
     if next(x for x in ints if x) < 0:
         g = -g
@@ -708,9 +690,13 @@ def orbit_span(e: BooleanElement, k: int) -> IntegerEchelon:
 
 def _orbit_rank(e: BooleanElement, k: int) -> tuple[int, tuple[int, ...]]:
     # The orbit rank of a grade-k element, k <= n/2, and the strata it is
-    # exactly orthogonal to, read as in `orbit_decomposition`.
+    # exactly orthogonal to, read as in `orbit_decomposition`.  The orbit
+    # span does not change under scaling, so a nonzero e is cleared to
+    # primitive integer coefficients for the check modulo p.
     n = e.n
     _require_multiplicity_free(k, n)
+    if not e.is_zero:
+        e = BooleanElement._make(n, dict(zip(e._terms, _primitive(tuple(e._terms.values())))))
     downs = [_down_terms(e, k, j) for j in range(k + 1)]
     orthogonal = _orthogonal_strata(downs, n)
     for j, terms in enumerate(downs):
@@ -743,10 +729,6 @@ def orbit_decomposition(e: BooleanElement, t: int) -> set[int]:
     _require_half(t, k, n)
     if not is_t_trade(e, t):
         raise ValueError(f"element is not a {t}-trade")
-    # The orbit span does not change under scaling, so e is cleared to
-    # primitive integer coefficients.
-    subsets, coeffs = zip(*e.terms())
-    e = BooleanElement._make(n, dict(zip(subsets, _primitive(coeffs))))
     rank, orthogonal = _orbit_rank(e, k)
     strata = {i for i in range(t, k) if i + 1 not in orthogonal}
     total = _strata_dim(strata, n)

@@ -157,6 +157,17 @@ def test_combination_rank_explicit_and_scaling():
     assert unit == predicted_rank(1, 2, 6, (0, 1)) == binomial(6, 1)
 
 
+def test_the_zero_combination_has_rank_zero():
+    # The zero vector has no primitive representative, and the zero matrix's
+    # first column, the zero element, has orbit rank 0 without being cleared.
+    with pytest.raises(ValueError, match="the zero vector has no primitive representative"):
+        verify._primitive((0, 0))
+    with pytest.raises(ValueError):
+        verify._primitive((Fraction(0), 0, 0))
+    assert verify._orbit_rank(BooleanElement.zero(6), 1) == (0, (0, 1))
+    assert verify._matrix_rank(MatrixSpec.combination(6, 1, 2, (0, 0))) == 0
+
+
 def test_combination_rank_seeded_batch():
     reports = check_combination_rank(1, 2, 6)
     # 20 random vectors plus the 4^2 grid
@@ -255,9 +266,9 @@ def _combination_classes(n_max):
 
 def test_witness_ceiling_ranks_match_a_plain_echelon(add_calls):
     # Every class at n <= 8 gets the rank of one IntegerEchelon pass over
-    # its rows, and the witness ceiling settles each one mod p: no row of
-    # W, of length C(n, k), reaches IntegerEchelon.  The witnesses' orbit
-    # spans have length C(n, t) < C(n, k).
+    # its rows, and the column ceiling settles each one mod p: no row of
+    # W, of length C(n, k), reaches IntegerEchelon.  The strata that the
+    # ceiling reads are spun at grades j <= t < k.
     classes = list(_combination_classes(8))
     assert len(classes) == 425  # 512 projective classes, 87 merged at n = 2k
     verify._matrix_rank.cache_clear()
@@ -269,20 +280,67 @@ def test_witness_ceiling_ranks_match_a_plain_echelon(add_calls):
         assert rank == _echelon_rank(spec), (t, k, n, key)
 
 
+def _killed_ceiling(spec):
+    # The rank ceiling read from left-kernel witnesses, the reference for
+    # the column ceiling: a witness y_j of grade t with y_j^T W = 0 exactly,
+    # a zero signed sum of the rows it picks, is killed.  W is invariant, so
+    # each killed stratum lies in the left kernel, and the strata of M^t are
+    # orthogonal in pairs.
+    t, n = spec.t, spec.n
+    verify._require_multiplicity_free(t, n)
+    rows = list(build_matrix(spec).rows())
+
+    def kills(y):
+        picked = ([c * x for x in r] for c, r in zip(y, rows) if c)
+        return not any(map(sum, zip(*picked)))
+
+    killed = [j for j in range(t + 1) if kills(element_to_vector(verify._witness(j, t, n), t))]
+    return binomial(n, t) - sum(verify._stratum_dim(j, t, n) for j in killed)
+
+
+def test_column_ceiling_matches_the_killed_witnesses(monkeypatch):
+    # The ceiling that each rank is certified against, the orbit rank of
+    # W's first column, equals the left-kernel witnesses' ceiling for every
+    # combination class and every intersection matrix with n <= 8.
+    classes = [MatrixSpec.combination(n, t, k, key) for t, k, n, key in _combination_classes(8)]
+    intersections = [
+        MatrixSpec.intersection(n, t, k, l)
+        for n in range(2, 9)
+        for k in range(n // 2 + 1)
+        for t in range(k + 1)
+        for l in range(t + 1)
+    ]
+    specs = list(dict.fromkeys(classes + intersections))
+    ceilings = []
+    rank = RationalMatrix.rank
+    monkeypatch.setattr(
+        RationalMatrix, "rank", lambda m, *, ceiling=None: ceilings.append(ceiling) or rank(m, ceiling=ceiling)
+    )
+    verify._matrix_rank.cache_clear()
+    try:
+        for spec in specs:
+            verify._matrix_rank(spec)
+            assert ceilings[-1] == _killed_ceiling(spec), spec
+    finally:
+        verify._matrix_rank.cache_clear()
+    assert len(ceilings) == len(specs)
+
+
 def test_a_ceiling_one_stratum_too_low_is_caught(monkeypatch):
-    # Fault injection: count one stratum more as killed than the witnesses
-    # show.  The ceiling then falls below the true rank, and the certificate
-    # stops at it, so the rank no longer matches a plain echelon pass.
-    killed_dim = verify._killed_dim
+    # Fault injection: count one stratum more as orthogonal to W's first
+    # column than it is.  The ceiling then falls below the true rank, and
+    # the certificate stops at it, so the rank no longer matches a plain
+    # echelon pass.
+    orbit_rank = verify._orbit_rank
     ceilings = []
 
-    def one_too_many(killed, t, n):
-        extra = next(j for j in range(t + 1) if j not in killed)
-        dim = killed_dim(tuple(sorted({*killed, extra})), t, n)
-        ceilings.append(binomial(n, t) - dim)
-        return dim
+    def one_too_many(e, k):
+        rank, orthogonal = orbit_rank(e, k)
+        extra = next(j for j in range(k + 1) if j not in orthogonal)
+        ceilings.append(rank - verify._stratum_dim(extra, k, e.n))
+        return ceilings[-1], (*orthogonal, extra)
 
-    monkeypatch.setattr(verify, "_killed_dim", one_too_many)
+    monkeypatch.setattr(verify, "_orbit_rank", one_too_many)
     verify._matrix_rank.cache_clear()
     try:
         for t, k, n, key in [(1, 2, 4, (1, 1)), (2, 3, 6, (1, -2, 1)), (2, 3, 7, (1, 0, 0))]:
@@ -805,7 +863,7 @@ def test_broken_strata_orthogonality_is_caught(fresh_verify_caches, monkeypatch)
 
     def broken(j, n):
         vectors = stratum(j, n)
-        return _padded(vectors, verify._witness_vector(0, j, n)) if j == 2 else vectors
+        return _padded(vectors, element_to_vector(verify._witness(0, j, n), j)) if j == 2 else vectors
 
     monkeypatch.setattr(verify, "_stratum", broken)
     e = total_trade(TradeSpec(8, 1, 3, (1, 3), (2, 4)))
@@ -898,10 +956,12 @@ def test_a_reducible_stratum_is_caught(fresh_verify_caches, monkeypatch):
     # has norm 2.  Padded with a repeat of one of its own vectors, and with
     # the character check skipped, the strata overfill M^3.
     stratum = verify._stratum
-    ones = verify._witness_vector
-    monkeypatch.setattr(
-        verify, "_stratum", lambda j, n: _padded(stratum(j, n), ones(0, 2, n)) if j == 2 else stratum(j, n)
-    )
+
+    def padded(j, n):
+        ones = element_to_vector(verify._witness(0, j, n), j)
+        return _padded(stratum(j, n), ones) if j == 2 else stratum(j, n)
+
+    monkeypatch.setattr(verify, "_stratum", padded)
     with pytest.raises(verify.VerificationError, match="stratum 2 at k=2 n=7 is not irreducible"):
         verify._require_irreducible_strata(7)
     monkeypatch.setattr(
