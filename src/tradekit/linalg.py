@@ -35,6 +35,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 Scalar = int | Fraction
@@ -109,7 +110,7 @@ class RationalMatrix:
         if len(v) != self.ncols:
             raise ValueError(f"dimension mismatch: {self.ncols} columns vs vector of {len(v)}")
         vf = [exact(x) for x in v]
-        return tuple(sum(a * b for a, b in zip(row, vf)) for row in self._rows)
+        return tuple(sum(map(mul, row, vf)) for row in self._rows)
 
 
 class IntegerEchelon:
@@ -196,11 +197,6 @@ def _unpack(w: int, dim: int) -> memoryview:
 def _shift(i: int, dim: int) -> int:
     # The bit offset of slot i in a packed vector of `dim` slots.
     return _SLOT * (i if sys.byteorder == "little" else dim - 1 - i)
-
-
-def _slot(w: int, i: int, dim: int) -> int:
-    # Slot i of a packed vector of `dim` slots, not reduced mod `_P`.
-    return (w >> _shift(i, dim)) & ((1 << _SLOT) - 1)
 
 
 class _EchelonModP:

@@ -20,14 +20,17 @@ onto y_j of grade k (the same pairs, tails summed), so it maps T_j onto
 stratum j of grade k.  Once per n, the spin's exact echelon rows of each
 T_j, j <= n/2, are back-substituted mod 65521, with no second elimination,
 and its character chi_j is read off those reduced rows at one permutation
-per cycle type and lifted to (-p/2, p/2); it must have norm 1, so T_j is
-irreducible, no two may be equal, and chi_j must be chi^{M^j} -
-chi^{M^(j-1)}, from counts of fixed subsets (Young's rule).  By Schur's
-lemma the up-map is then injective on T_j unless y_j of grade k is zero,
-which happens only on the t + k = n boundary.  Dot products move to grade
-j, as <e, W_jk^T u> = <W_jk e, u>, the deletion sum of e.  Each y_j of grade
-k is exactly orthogonal to every later stratum; both are invariant, so the
-strata are orthogonal in pairs.  Nothing here reads the predicted side.
+per cycle type, each j-set's image found by its bitmask, and lifted to
+(-p/2, p/2); it must have norm 1, so T_j is irreducible, no two may be
+equal, and chi_j must be chi^{M^j} - chi^{M^(j-1)}, from counts of fixed
+subsets (Young's rule).  By Schur's lemma the up-map is then injective on
+T_j unless y_j of grade k is zero, which happens only on the t + k = n
+boundary.  Dot products move to grade j, as <e, W_jk^T u> = <W_jk e, u>,
+the deletion sum of e; all of e's exact dots with T_j's echelon rows are
+summed at once from T_j's signed packed columns, in slots wide enough for
+every dot.  Each y_j of grade k is exactly orthogonal to every later
+stratum; both are invariant, so the strata are orthogonal in pairs.
+Nothing here reads the predicted side.
 Every matrix rank is certified from both sides.  The mod-p certificate
 gives the floor, and the orbit rank of W's first column gives the ceiling:
 W[sA, sB] = W[A, B] for every permutation s, so the column of sB is s
@@ -42,8 +45,9 @@ The span rank is stratum t + 1 of grade k, the orbit span of one total
 trade, which the symmetric group carries onto every other up to sign.  The
 up-map carries each total trade of grade t + 1 onto the one of grade k
 with the same pairs, so the standard-filling basis is ranked at grade
-t + 1.  The span rank is a ceiling on the rank of the literal trades, all
-total trades (see `literal_basis_audit`).
+t + 1: its rank is its size when the trades' colex-largest sets differ.
+The span rank is a ceiling on the rank of the literal trades, all total
+trades (see `literal_basis_audit`).
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations, product as iter_product
+from itertools import chain, combinations, compress, product as iter_product
 from math import factorial, gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -71,10 +75,11 @@ from .boolean_algebra import (
 from .combinatorics import Permutation, binomial, colex_index
 from .linalg import (
     _P,
+    _SLOT,
     IntegerEchelon,
     _pack,
     _reduced_mod_p,
-    _slot,
+    _shift,
     _unpack,
     rank_of_columns,
 )
@@ -204,14 +209,12 @@ def _stratum(j: int, n: int) -> tuple[tuple[int, ...], ...]:
 def _up_map(e: BooleanElement, k: int) -> BooleanElement:
     # W_jk^T e for a grade-j element e: each j-set goes to the sum of the
     # k-sets that contain it.  It commutes with S_n.
-    return BooleanElement(
-        e.n,
-        (
-            (tuple(sorted(s + extra)), c)
-            for s, c in e.terms()
-            for extra in combinations([x for x in range(1, e.n + 1) if x not in s], k - len(s))
-        ),
-    )
+    out: dict[tuple[int, ...], int] = {}
+    for s, c in e._terms.items():
+        for extra in combinations([x for x in range(1, e.n + 1) if x not in s], k - len(s)):
+            key = tuple(sorted(s + extra))
+            out[key] = out.get(key, 0) + c
+    return BooleanElement._make(e.n, {s: c for s, c in out.items() if c})
 
 
 @cache
@@ -316,19 +319,21 @@ def _character(j: int, n: int, sigmas: Sequence[tuple[int, ...]]) -> tuple[int, 
     # coordinate r_i[sigma^-1 p_i] on the reduced row r_i with pivot p_i, so
     # chi(sigma) = sum_i r_i[sigma^-1 p_i] mod p.  It is exact: sigma's matrix
     # in the spun basis has no p in its denominators, and |chi| <= dim < p/2.
+    # A j-set S is read as a bitmask, and sigma^-1 S as a sum of table bits.
     pivots, columns = _reduced_stratum(j, n)
     d = len(pivots)
     if 2 * d >= _P:
         raise ValueError(f"stratum {j} at k={j} n={n} is too large to lift its character mod {_P}")
     index = colex_index(j, n)
-    subsets = list(index)
+    position = {sum(1 << x for x in s): p for s, p in index.items()}
+    pivot_sets = list(map(list(index).__getitem__, pivots))
+    shifts = [_shift(i, d) for i in range(d)]
+    mask = (1 << _SLOT) - 1
     chi = []
     for sigma in sigmas:
-        inverse = {y: x for x, y in enumerate(sigma, start=1)}
-        c = sum(
-            _slot(columns[index[tuple(sorted(inverse[x] for x in subsets[p]))]], i, d)
-            for i, p in enumerate(pivots)
-        ) % _P
+        bits = {y: 1 << x for x, y in enumerate(sigma, start=1)}  # sigma^-1(y) = x
+        images = (position[sum(map(bits.__getitem__, s))] for s in pivot_sets)
+        c = sum((columns[q] >> shift) & mask for q, shift in zip(images, shifts)) % _P
         chi.append(c - _P if 2 * c > _P else c)
     return tuple(chi)
 
@@ -405,8 +410,14 @@ def _basis_rank(i: int, k: int, n: int) -> tuple[int, int]:
     if k > i + 1:
         size, rank = _basis_rank(i, i + 1, n)
         return size, rank if _stratum_dim(i + 1, k, n) else 0
-    vectors = [element_to_vector(e, k) for _, e in total_trade_basis(i, k, n)]
-    return len(vectors), rank_of_columns(vectors)
+    # Nonzero vectors whose last nonzero positions, each trade's colex-largest
+    # k-set, differ are independent over any field; else the basis is eliminated.
+    trades = [e for _, e in total_trade_basis(i, k, n)]
+    index = colex_index(k, n)
+    leads = {max(map(index.__getitem__, e._terms)) for e in trades if e._terms}
+    if len(leads) == len(trades):
+        return len(trades), len(trades)
+    return len(trades), rank_of_columns(element_to_vector(e, k) for e in trades)
 
 
 def check_inclusion_rank(t: int, k: int, n: int) -> Report:
@@ -660,10 +671,30 @@ def _generator_maps(k: int, n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+@cache
+def _stratum_height(j: int, n: int) -> int:
+    return max(map(abs, chain.from_iterable(_stratum(j, n))), default=0)
+
+
+@cache
+def _signed_columns(j: int, n: int, width: int) -> tuple[int, ...]:
+    # T_j's exact echelon rows r_i as signed packed columns: column c is
+    # sum_i r_i[c] 2^(width i), negative entries included.
+    columns = [0] * binomial(n, j)
+    for i, row in enumerate(_stratum(j, n)):
+        for c in compress(range(len(row)), row):
+            columns[c] += row[c] << width * i
+    return tuple(columns)
+
+
 def _is_orthogonal(terms: list[tuple[int, int]], j: int, n: int) -> bool:
-    # The grade-j vector with these (position, coefficient) nonzero terms is
-    # exactly orthogonal to every vector of T_j.
-    return not any(sum(c * w[p] for p, c in terms) for w in _stratum(j, n))
+    # The grade-j integer vector with these (position, coefficient) nonzero
+    # terms is exactly orthogonal to every vector of T_j.  Slot i of
+    # sum_p c_p column_p is its dot with r_i, of size <= bound < 2^(width-1),
+    # so the sum, a balanced base-2^width number, is 0 only if every dot is.
+    bound = sum(abs(c) for _, c in terms) * _stratum_height(j, n)
+    columns = _signed_columns(j, n, 64 * (bound.bit_length() // 64 + 1))
+    return not sum(c * columns[p] for p, c in terms)
 
 
 def _orthogonal_strata(downs: list[list[tuple[int, int]]], n: int) -> tuple[int, ...]:

@@ -291,6 +291,10 @@ def test_matvec():
     assert identity(2).matvec(v) == v
     assert zeros(2, 2).matvec(v) == (0, 0)
     assert RationalMatrix([[1, 1]]).matvec((1, -1)) == (0,)
+    # Exact values, ints staying ints, for int and Fraction rows alike.
+    m = RationalMatrix([[1, Fraction(1, 2), -3], [2, 0, 5]])
+    assert m.matvec((Fraction(1, 3), 4, 1)) == (Fraction(-2, 3), Fraction(17, 3))
+    assert [type(x) for x in RationalMatrix([[1, -3], [0, 5]]).matvec((2, 7))] == [int, int]
     with pytest.raises(ValueError):
         RationalMatrix([[1, 1]]).matvec((1, 2, 3))
 

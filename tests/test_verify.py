@@ -678,6 +678,109 @@ def test_graver_jurkat_wrong_exact_dot_without_mod_p_fails(fresh_verify_caches, 
             assert r.computed == r.predicted + (dim if wrong == t else -dim), (t, k, n, wrong)
 
 
+def _cell_loop_orthogonal(terms, j, n):
+    # Test-side reference: the dot product with every dense row of T_j, one
+    # cell at a time.
+    return not any(sum(c * w[p] for p, c in terms) for w in verify._stratum(j, n))
+
+
+def test_packed_orthogonality_matches_the_cell_loop():
+    # Random, unit and orthogonal term lists, the orthogonal ones the lower
+    # witnesses y_i of grade j and permutations of them, also with
+    # coefficients above 2^62 and mixed with a unit term.
+    rng = random.Random(34)
+    orthogonal = 0
+    for n in range(1, 11):
+        for j in range(n // 2 + 1):
+            dim = binomial(n, j)
+            cases = [[(p, 1)] for p in range(dim)]
+            for _ in range(20):
+                positions = rng.sample(range(dim), rng.randint(1, min(dim, 8)))
+                cases.append([(p, rng.choice([-1, 1]) * rng.randint(1, 2**70)) for p in positions])
+                cases.append([(p, rng.randint(-3, 3) or 1) for p in positions])
+            for i in range(j):
+                y = verify._witness(i, j, n)
+                sigma = Permutation(n, tuple(rng.sample(range(1, n + 1), n)))
+                for e in (y, permute_element(sigma, y) * (2**63 + 1), y * 3 + permute_element(sigma, y)):
+                    terms = verify._down_terms(e, j, j)
+                    cases.append(terms)
+                    cases.append(terms + [(0, 1)] if all(p for p, _ in terms) else terms[1:])
+            for terms in cases:
+                expected = _cell_loop_orthogonal(terms, j, n)
+                assert verify._is_orthogonal(terms, j, n) == expected, (j, n, terms)
+                orthogonal += expected
+    assert orthogonal > 100
+
+
+def test_packed_slot_width_comes_from_the_bound(fresh_verify_caches, monkeypatch):
+    # Dot products (2^64, -1) carry into each other at a fixed 64-bit slot
+    # and read as zero; the width taken from the bound keeps them apart.
+    monkeypatch.setattr(verify, "_stratum", lambda j, n: ((1, 0), (0, 1)))
+    terms = [(0, 2**64), (1, -1)]
+    fixed = verify._signed_columns(1, 2, 64)
+    assert not sum(c * fixed[p] for p, c in terms)
+    assert not _cell_loop_orthogonal(terms, 1, 2)
+    assert not verify._is_orthogonal(terms, 1, 2)
+    assert verify._is_orthogonal([(0, 0)], 1, 2)
+
+
+def _sorted_tuple_character(j, n, sigmas):
+    # Test-side reference: each pivot set's image under sigma^-1, sorted and
+    # looked up as a tuple, and its slot read from the unpacked column.
+    pivots, columns = verify._reduced_stratum(j, n)
+    index = colex_index(j, n)
+    subsets = list(index)
+    chi = []
+    for sigma in sigmas:
+        inverse = {y: x for x, y in enumerate(sigma, start=1)}
+        c = sum(
+            linalg._unpack(columns[index[tuple(sorted(inverse[x] for x in subsets[p]))]], len(pivots))[i]
+            for i, p in enumerate(pivots)
+        ) % 65521
+        chi.append(c - 65521 if 2 * c > 65521 else c)
+    return tuple(chi)
+
+
+def test_character_matches_the_sorted_tuple_reading():
+    for n in range(1, 11):
+        sigmas = [verify._class_representative(mu) for mu in verify._cycle_types(n)]
+        for j in range(n // 2 + 1):
+            assert verify._character(j, n, sigmas) == _sorted_tuple_character(j, n, sigmas), (j, n)
+
+
+def test_colliding_leading_sets_fall_back_to_elimination(fresh_verify_caches, monkeypatch):
+    # The standard-filling trades have distinct colex-largest k-sets, so
+    # their rank is read with no elimination.  A duplicated basis trade
+    # collides with its copy: the basis is then eliminated, its rank is one
+    # below its size, and basis-standard fails.
+    calls = []
+    monkeypatch.setattr(verify, "rank_of_columns", lambda v: calls.append(v) or rank_of_columns(v))
+    assert verify._basis_rank(2, 3, 8) == (28, 28) and check_trade_basis(2, 4, 8).passed
+    assert calls == []
+    basis = verify.total_trade_basis
+    monkeypatch.setattr(verify, "total_trade_basis", lambda t, k, n: basis(t, k, n)[:1] + basis(t, k, n))
+    verify._basis_rank.cache_clear()
+    assert verify._basis_rank(2, 3, 8) == (29, 28)
+    assert len(calls) == 1
+    for k in (3, 4):
+        r = check_trade_basis(2, k, 8)
+        assert not r.passed and not r.consistent and r.computed == r.predicted == 28, k
+
+
+def test_up_map_matches_the_validating_sum():
+    # Against BooleanElement's own summing constructor, on witnesses and on
+    # y_2 lifted to the t + k = n boundary, where every term cancels.
+    assert verify._up_map(verify._witness(2, 2, 5), 4).is_zero
+    for e, k in [(verify._witness(2, 2, 7), 4), (verify._witness(0, 1, 6), 3), (verify._witness(2, 2, 5), 4)]:
+        n = e.n
+        pairs = [
+            (tuple(sorted(s + extra)), c)
+            for s, c in e.terms()
+            for extra in combinations([x for x in range(1, n + 1) if x not in s], k - len(s))
+        ]
+        assert verify._up_map(e, k)._terms == BooleanElement(n, pairs)._terms, (e, k)
+
+
 def test_orbit_span_of_total_trade():
     e = total_trade(TradeSpec(5, 1, 2, (1, 3), (2, 4)))
     ech = orbit_span(e, 2)
