@@ -128,6 +128,8 @@ class BooleanElement:
                     prev = out.get(key)
                     out[key] = ca * cb if prev is None else prev + ca * cb
             return BooleanElement._make(self.n, {k: v for k, v in out.items() if v})
+        if type(other) is int and other == 1:
+            return self  # elements are never mutated, so the identity needs no copy
         try:
             c = exact(other)
         except (TypeError, ValueError):
@@ -246,11 +248,10 @@ class MatrixSpec:
         return cls(n, t, k, tuple(coeffs))
 
 
-def _mask(elements: tuple[int, ...]) -> int:
-    m = 0
-    for e in elements:
-        m |= 1 << (e - 1)
-    return m
+@cache
+def _masks(k: int, n: int) -> tuple[int, ...]:
+    # The k-sets of 1..n in colex order, each as the bitmask of its elements.
+    return tuple(sum(1 << (e - 1) for e in s) for s in colex_index(k, n))
 
 
 _MAX_CELLS = 1 << 24  # the largest matrix verify builds at n = 10 has 52920 cells
@@ -263,10 +264,9 @@ def build_matrix(spec: MatrixSpec) -> RationalMatrix:
     nrows, ncols = binomial(spec.n, spec.t), binomial(spec.n, spec.k)
     if nrows * ncols > _MAX_CELLS:
         raise ValueError(f"{nrows}x{ncols} matrix exceeds the limit of {_MAX_CELLS} cells")
-    row_masks = [_mask(s) for s in colex_index(spec.t, spec.n)]
-    col_masks = [_mask(s) for s in colex_index(spec.k, spec.n)]
+    col_masks = _masks(spec.k, spec.n)
     coeffs = spec.coeffs  # already exact: `MatrixSpec.__post_init__` saw to it
-    rows = [[coeffs[(a & b).bit_count()] for b in col_masks] for a in row_masks]
+    rows = [[coeffs[(a & b).bit_count()] for b in col_masks] for a in _masks(spec.t, spec.n)]
     return RationalMatrix._make(rows, len(col_masks))
 
 

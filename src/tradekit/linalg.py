@@ -106,11 +106,12 @@ class RationalMatrix:
         return rank_of_columns(self._rows, ceiling=ceiling)
 
     def matvec(self, v: Sequence) -> Vector:
-        """Exact matrix-vector product."""
+        """Exact matrix-vector product, read over the vector's nonzero entries."""
         if len(v) != self.ncols:
             raise ValueError(f"dimension mismatch: {self.ncols} columns vs vector of {len(v)}")
-        vf = [exact(x) for x in v]
-        return tuple(sum(map(mul, row, vf)) for row in self._rows)
+        support = [i for i, x in enumerate(v) if x]
+        values = [exact(v[i]) for i in support]
+        return tuple(sum(map(mul, map(row.__getitem__, support), values)) for row in self._rows)
 
 
 class IntegerEchelon:

@@ -14,8 +14,8 @@ from functools import cache
 from itertools import combinations, product
 from typing import Iterator
 
-from .boolean_algebra import BooleanElement, deletion_sum
-from .combinatorics import Permutation
+from .boolean_algebra import _MAX_CELLS, BooleanElement, deletion_sum
+from .combinatorics import Permutation, binomial
 
 
 def _require_trade_domain(t: int, k: int, n: int) -> None:
@@ -190,17 +190,23 @@ def total_trade_basis(t: int, k: int, n: int) -> list[tuple[TradeSpec, BooleanEl
     list down to exactly C(n,t+1) - C(n,t) independent trades.  On the
     boundary t + k = n, k >= t + 2 the list keeps that length but every
     trade in it is zero: the ground set is one element short of a tail.
-    At n = 2t + 1, k = t + 1 there is no spec and the list is empty.
+    At n = 2t + 1, k = t + 1 there is no spec and the list is empty.  A
+    basis of more than 2^24 terms in all raises ValueError before any
+    tableau is listed.
     """
-    from .specht import TwoRowShape, standard_tableaux
+    from .specht import TwoRowShape, specht_dim, standard_tableaux
 
     _require_trade_domain(t, k, n)
     if n == 2 * t + 1:
         return []
     shape = TwoRowShape(n - t - 1, t + 1)
+    size = specht_dim(shape) * 2 ** (t + 1) * binomial(n - 2 * t - 2, k - t - 1)
+    if size > _MAX_CELLS:
+        raise ValueError(f"the basis would have {size} terms, over the limit of {_MAX_CELLS}")
     out = []
     for tab in standard_tableaux(shape):
-        spec = TradeSpec(n, t, k, tab.row1[: t + 1], tab.row2)
+        # A standard filling's pairs are distinct elements of 1..n.
+        spec = TradeSpec._make(n, t, k, tab.row1[: t + 1], tab.row2)
         out.append((spec, total_trade(spec)))
     return out
 

@@ -26,9 +26,10 @@ equal, and chi_j must be chi^{M^j} - chi^{M^(j-1)}, from counts of fixed
 subsets (Young's rule).  By Schur's lemma the up-map is then injective on
 T_j unless y_j of grade k is zero, which happens only on the t + k = n
 boundary.  Dot products move to grade j, as <e, W_jk^T u> = <W_jk e, u>,
-the deletion sum of e; all of e's exact dots with T_j's echelon rows are
-summed at once from T_j's signed packed columns, in slots wide enough for
-every dot.  Each y_j of grade k is exactly orthogonal to every later
+the deletion sum of e, read from the grade above through one cached table
+of (j+1)-set boundaries, as W_{j,j+1} W_{j+1,k} = (k - j) W_jk; all of e's
+exact dots with T_j's echelon rows are summed at once from T_j's signed
+packed columns, in slots wide enough for every dot.  Each y_j of grade k is exactly orthogonal to every later
 stratum; both are invariant, so the strata are orthogonal in pairs.
 Nothing here reads the predicted side.
 Every matrix rank is certified from both sides.  The mod-p certificate
@@ -66,7 +67,6 @@ from .boolean_algebra import (
     BooleanElement,
     MatrixSpec,
     build_matrix,
-    deletion_sum,
     element_to_vector,
     lambda_coeff,
     permute_element,
@@ -230,11 +230,34 @@ def _stratum_dim(j: int, k: int, n: int) -> int:
     return len(_stratum(j, n))
 
 
-def _down_terms(e: BooleanElement, k: int, j: int) -> list[tuple[int, int]]:
-    # W_jk e for a grade-k element e, as (position, coefficient) terms at
-    # grade j: e is orthogonal to stratum j of grade k iff they are to T_j.
-    index = colex_index(j, e.n)
-    return [(index[s], c) for s, c in deletion_sum(e, k - j)._terms.items()]
+@cache
+def _boundary(j: int, n: int) -> tuple[tuple[int, ...], ...]:
+    # For each (j+1)-set in colex order, the colex positions of its j-subsets.
+    index = colex_index(j, n)
+    return tuple(tuple(index[s] for s in combinations(u, j)) for u in colex_index(j + 1, n))
+
+
+def _downs(e: BooleanElement, k: int) -> list[list[tuple[int, int]]]:
+    # W_jk e for an integer grade-k element e and every j = 0..k, as
+    # (position, coefficient) terms at grade j: e is orthogonal to stratum j
+    # of grade k iff they are to T_j.  Each grade is read from the one above,
+    # as W_{j,j+1} W_{j+1,k} = (k - j) W_jk, so the division is exact; below
+    # a zero grade every grade is zero.
+    if any(type(c) is not int for c in e._terms.values()):
+        raise TypeError("the grade walk needs integer coefficients")
+    index = colex_index(k, e.n)
+    terms = [(index[s], c) for s, c in e._terms.items()]
+    downs: list[list[tuple[int, int]]] = [[] for _ in range(k)] + [terms]
+    for j in range(k - 1, -1, -1):
+        if not terms:
+            break
+        sums = [0] * binomial(e.n, j)
+        table = _boundary(j, e.n)
+        for p, c in terms:
+            for q in table[p]:
+                sums[q] += c
+        terms = downs[j] = [(q, c // (k - j)) for q, c in enumerate(sums) if c]
+    return downs
 
 
 @cache
@@ -379,9 +402,9 @@ def _require_multiplicity_free(k: int, n: int) -> None:
     # their dimensions add up to C(n, k).  Each is an isomorphic image of
     # T_j, so every invariant subspace of M^k is a sum of strata.
     for j in range(k):
-        y = _witness(j, k, n)
+        downs = _downs(_witness(j, k, n), k)
         for i in range(j + 1, k + 1):
-            if not _is_orthogonal(_down_terms(y, k, i), i, n):
+            if not _is_orthogonal(downs[i], i, n):
                 raise VerificationError(f"strata {j} and {i} at k={k} n={n} are not orthogonal")
     dims = [_stratum_dim(j, k, n) for j in range(k + 1)]
     if sum(dims) != binomial(n, k):
@@ -574,7 +597,8 @@ def check_combination_rank(t: int, k: int, n: int, seed: int = 0) -> list[Report
     return reports
 
 
-def _sorted_splits(t: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+@cache
+def _sorted_splits(t: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     # Splits of the positions 0..2t+1 into increasing xs and ys with the i-th
     # x before the i-th y; there are Catalan(t+1) of them.
     m = 2 * (t + 1)
@@ -583,7 +607,7 @@ def _sorted_splits(t: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         yi = tuple(i for i in range(m) if i not in xi)
         if all(x < y for x, y in zip(xi, yi)):
             splits.append((xi, yi))
-    return splits
+    return tuple(splits)
 
 
 def literal_basis_specs(t: int, k: int, n: int) -> Iterator[TradeSpec]:
@@ -699,7 +723,7 @@ def _is_orthogonal(terms: list[tuple[int, int]], j: int, n: int) -> bool:
 
 def _orthogonal_strata(downs: list[list[tuple[int, int]]], n: int) -> tuple[int, ...]:
     # The strata j that an element is exactly orthogonal to, from its terms
-    # at each grade j (`_down_terms`).
+    # at each grade j (`_downs`).
     return tuple(j for j, terms in enumerate(downs) if _is_orthogonal(terms, j, n))
 
 
@@ -723,12 +747,13 @@ def _orbit_rank(e: BooleanElement, k: int) -> tuple[int, tuple[int, ...]]:
     # The orbit rank of a grade-k element, k <= n/2, and the strata it is
     # exactly orthogonal to, read as in `orbit_decomposition`.  The orbit
     # span does not change under scaling, so a nonzero e is cleared to
-    # primitive integer coefficients for the check modulo p.
+    # primitive integer coefficients, for the grade walk and the check
+    # modulo p.
     n = e.n
     _require_multiplicity_free(k, n)
     if not e.is_zero:
         e = BooleanElement._make(n, dict(zip(e._terms, _primitive(tuple(e._terms.values())))))
-    downs = [_down_terms(e, k, j) for j in range(k + 1)]
+    downs = _downs(e, k)
     orthogonal = _orthogonal_strata(downs, n)
     for j, terms in enumerate(downs):
         if (j in orthogonal) != _orthogonal_mod_p(terms, j, n):

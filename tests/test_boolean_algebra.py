@@ -46,6 +46,17 @@ def test_product_examples():
     assert (x - y) * x == elem(3, ((1,), 1), ((1, 2), -1))
 
 
+def test_scalar_one_keeps_the_element():
+    # Elements are never mutated, so the int 1 returns the element itself;
+    # Fraction(1) still copies, and the coefficients become Fractions.
+    e = elem(4, ((1, 2), 3), ((3,), -1))
+    assert e * 1 is e and 1 * e is e
+    for scaled in (e * Fraction(1), Fraction(1) * e):
+        assert scaled is not e and scaled == e
+        assert all(type(c) is Fraction for c in scaled._terms.values())
+    assert e * 2 == elem(4, ((1, 2), 6), ((3,), -2))
+
+
 def test_product_accumulates_union_collisions():
     # ({1}+{1,2})*({2}) = {1,2} + {1,2} = 2*{1,2}
     a = elem(3, ((1,), 1), ((1, 2), 1))

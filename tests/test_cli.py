@@ -188,6 +188,12 @@ def test_matrix_too_large_exits_2(capsys):
     assert code == 2 and out == "" and "exceeds the limit of 16777216 cells" in err
 
 
+def test_basis_too_large_exits_2(capsys):
+    # 6564120420 trades of 2^20 terms each: refused before any tableau is listed
+    code, out, err = run_cli(capsys, "basis", "--n", "40", "--t", "19", "--k", "20")
+    assert code == 2 and out == "" and "over the limit of 16777216" in err
+
+
 def test_verify_command_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "inclusion-rank", "--n-max", "6")
     assert code == 0

@@ -299,6 +299,24 @@ def test_matvec():
         RationalMatrix([[1, 1]]).matvec((1, 2, 3))
 
 
+def test_matvec_matches_the_dense_products():
+    # Only the vector's nonzero entries are read; the values are those of
+    # the dense row-by-row sums, for int and Fraction rows, sparse vectors
+    # and the zero vector.
+    rng = random.Random(35)
+
+    def cell():
+        return rng.choice([0, rng.randint(-4, 4), Fraction(rng.randint(-4, 4), 3)])
+
+    for _ in range(200):
+        nrows, ncols = rng.randint(0, 5), rng.randint(1, 6)
+        rows = [[cell() for _ in range(ncols)] for _ in range(nrows)]
+        v = [rng.choice([0, cell()]) for _ in range(ncols)]
+        for vec in (v, [0] * ncols, [Fraction(0)] * ncols):
+            dense = tuple(sum(Fraction(a) * Fraction(x) for a, x in zip(row, vec)) for row in rows)
+            assert RationalMatrix(rows, ncols).matvec(vec) == dense
+
+
 def test_integer_echelon_incremental():
     ech = IntegerEchelon(3)
     assert ech.add((1, 2, 3))

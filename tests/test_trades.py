@@ -364,6 +364,30 @@ def test_total_trade_basis_shape_errors():
         total_trade_basis(1, 1, 5)  # t = k
 
 
+def test_total_trade_basis_specs_are_validated_specs():
+    # Standard fillings need no validation: each spec equals the one the
+    # validating constructor builds.
+    for t, k, n in [(0, 1, 3), (1, 3, 7), (2, 3, 8), (1, 4, 5)]:
+        for spec, _ in total_trade_basis(t, k, n):
+            assert spec == TradeSpec(n, t, k, spec.xs, spec.ys)
+
+
+def test_total_trade_basis_size_limit(monkeypatch):
+    # 2^20 terms per trade times S^(20,20)'s dimension: ValueError before
+    # any standard tableau is listed.  (3, 6, 12), the basis with the most
+    # terms of any verify domain at n <= 12 (26400), stays under the limit.
+    from tradekit import specht
+
+    def unlisted(shape):
+        raise AssertionError("tableaux listed")
+
+    monkeypatch.setattr(specht, "standard_tableaux", unlisted)
+    with pytest.raises(ValueError, match="over the limit of 16777216"):
+        total_trade_basis(19, 20, 40)
+    monkeypatch.undo()
+    assert len(total_trade_basis(3, 6, 12)) == binomial(12, 4) - binomial(12, 3)
+
+
 def test_total_trade_basis_empty_at_n_2t_plus_1():
     # (t, t+1, 2t+1): t+1 disjoint pairs need 2t+2 elements, so there is no
     # spec, and the dimension C(n, t+1) - C(n, t) is 0

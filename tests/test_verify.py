@@ -14,6 +14,7 @@ from tradekit.boolean_algebra import (
     BooleanElement,
     MatrixSpec,
     build_matrix,
+    deletion_sum,
     element_to_vector,
     permute_element,
     predicted_rank,
@@ -678,6 +679,37 @@ def test_graver_jurkat_wrong_exact_dot_without_mod_p_fails(fresh_verify_caches, 
             assert r.computed == r.predicted + (dim if wrong == t else -dim), (t, k, n, wrong)
 
 
+def test_downs_are_the_deletion_sums():
+    # The grade walk's grade j is deletion_sum(e, k - j) at colex positions,
+    # for random integer elements (trades and non-trades), single terms and
+    # the zero element, at every k <= n <= 8.
+    rng = random.Random(35)
+    for n in range(9):
+        for k in range(n + 1):
+            subsets = list(colex_index(k, n))
+            cases = [BooleanElement.zero(n)]
+            for s in rng.sample(subsets, min(3, len(subsets))):
+                cases.append(BooleanElement(n, {s: rng.choice([-2, -1, 1, 3])}))
+            for _ in range(6):
+                chosen = rng.sample(subsets, rng.randint(1, min(len(subsets), 12)))
+                cases.append(BooleanElement(n, {s: rng.randint(-4, 4) for s in chosen}))
+            for t in range(min(k, n - k + 1)):
+                cases.append(verify._first_total_trade(t, k, n))
+                if t + k < n:
+                    spec = verify._random_minimal_spec(rng, t, k, n)
+                    cases.append(minimal_trade(spec) * 5)
+            for e in cases:
+                downs = verify._downs(e, k)
+                assert len(downs) == k + 1
+                for j in range(k + 1):
+                    index = colex_index(j, n)
+                    expected = {index[s]: c for s, c in deletion_sum(e, k - j)._terms.items()}
+                    assert dict(downs[j]) == expected, (n, k, j, e)
+                    assert len(downs[j]) == len(expected)
+    with pytest.raises(TypeError):
+        verify._downs(BooleanElement(4, {(1, 2): Fraction(1, 2)}), 2)
+
+
 def _cell_loop_orthogonal(terms, j, n):
     # Test-side reference: the dot product with every dense row of T_j, one
     # cell at a time.
@@ -702,7 +734,7 @@ def test_packed_orthogonality_matches_the_cell_loop():
                 y = verify._witness(i, j, n)
                 sigma = Permutation(n, tuple(rng.sample(range(1, n + 1), n)))
                 for e in (y, permute_element(sigma, y) * (2**63 + 1), y * 3 + permute_element(sigma, y)):
-                    terms = verify._down_terms(e, j, j)
+                    terms = verify._downs(e, j)[j]
                     cases.append(terms)
                     cases.append(terms + [(0, 1)] if all(p for p, _ in terms) else terms[1:])
             for terms in cases:
