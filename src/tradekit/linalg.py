@@ -9,14 +9,14 @@ routine, `IntegerEchelon`, a sparse fraction-free elimination: each vector
 is cleared to integers once (this preserves rank), stored rows are sparse
 coprime integer rows, and a row operation touches only the nonzero entries
 of the stored row.  `rank_of_columns` (and so `RationalMatrix.rank`) first
-tries a private certificate: integer vectors that are independent modulo the
-prime 65521 are independent over the rationals, since a maximal minor that
-is nonzero mod p is a nonzero integer.  Alone it answers only "full rank".
-A caller that has proved an upper bound on the rank passes it as `ceiling`;
-then the certificate skips vectors that are dependent mod p and answers as
-soon as `ceiling` of them are independent, since
-rank_Q >= rank_p = ceiling >= rank_Q.  Everything else goes to
-`IntegerEchelon`.  `_EchelonModP` is the certificate's one mod-p
+tries a certificate with one rule: integer vectors that are independent
+modulo the prime 65521 are independent over the rationals, since a maximal
+minor that is nonzero mod p is a nonzero integer.  It skips every vector
+that is dependent mod p and answers the number of vectors when none was
+skipped.  A caller that has proved an upper bound on the rank passes it as
+`ceiling`, and the answer is `ceiling` as soon as that many vectors are
+independent, since rank_Q >= rank_p = ceiling >= rank_Q.  Everything else
+goes to `IntegerEchelon`.  `_EchelonModP` is the certificate's one mod-p
 eliminator.  `verify` reads each stratum's character off its fully reduced
 rows mod p, which `_reduced_mod_p` gets from the stratum's exact echelon
 rows by one back substitution, with no second elimination.
@@ -101,8 +101,10 @@ class RationalMatrix:
         return f"RationalMatrix({self.nrows}x{self.ncols})"
 
     def rank(self, *, ceiling: int | None = None) -> int:
-        """Exact rank over the rationals (the row rank); `ceiling` is a
-        caller-proven upper bound, passed on to `rank_of_columns`."""
+        """Exact rank over the rationals (the row rank), by `rank_of_columns`
+        over the rows: the number of rows when none is dependent mod 65521,
+        a caller-proven upper bound `ceiling` as soon as that many rows are
+        independent mod 65521, and else an exact elimination."""
         return rank_of_columns(self._rows, ceiling=ceiling)
 
     def matvec(self, v: Sequence) -> Vector:
@@ -281,61 +283,23 @@ def _reduced_mod_p(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[int, a
     return out[::-1]
 
 
-def _independent_mod_p(
-    vectors: Iterator[Sequence], seen: list, ceiling: int | None = None
-) -> int | None:
-    """The rank of `vectors` when independence modulo `_P` settles it, else
-    None.  Each consumed vector is appended to `seen`.
-
-    With no ceiling the rank is settled only when every vector is an integer
-    vector and they are independent mod `_P`; the iterator stops at the first
-    vector that is not an integer vector of the first one's length, that
-    reduces to zero mod `_P`, or that is one past the dimension.  With a
-    ceiling a vector that reduces to zero is skipped, and the answer comes as
-    soon as `ceiling` vectors are independent, before the next one is pulled;
-    if the vectors run out first, the rank is settled only when none was
-    skipped.  A non-int cell raises `TypeError` in `_EchelonModP.add`, and
-    that answers None.
-    """
-    ech = None
-    for v in vectors:
-        seen.append(v)
-        if ech is None:
-            ech = _EchelonModP(len(v))
-        if len(v) != ech.dim:
-            return None
-        if ceiling is None and len(seen) > ech.dim:
-            return None
-        try:
-            row = ech.add(v)
-        except TypeError:
-            return None
-        if row is None:
-            if ceiling is None:
-                return None
-            continue
-        if ech.rank == ceiling:
-            return ceiling
-    rank = ech.rank if ech else 0
-    return rank if rank == len(seen) else None
-
-
 def rank_of_columns(vectors: Iterable[Sequence], *, ceiling: int | None = None) -> int:
     """Rank of the matrix whose columns are the given vectors.
 
     A certificate modulo the prime p = 65521 answers first: integer vectors
     that are independent mod p have a maximal minor that is nonzero mod p,
-    hence nonzero over Z, so they are independent.  With no ceiling it
-    answers only when all the vectors are independent mod p.
+    hence nonzero over Z, so they are independent.  It skips every vector
+    that is dependent mod p.  If the vectors run out and none was skipped,
+    the answer is their number.
 
     `ceiling` is an upper bound on the rank that the caller has proved; a
-    wrong one gives a wrong rank.  With it, vectors that are dependent mod p
-    are skipped, and the answer is `ceiling` as soon as that many vectors
-    are independent mod p (rank_Q >= rank_p = ceiling >= rank_Q); the
-    vectors after them are never pulled, and a ceiling of 0 answers 0 at
-    once.  In every case the certificate does not settle, the vectors it
-    consumed and the rest of the iterable go to `IntegerEchelon`, which
-    computes the rank exactly.
+    wrong one gives a wrong rank.  With it, the answer is `ceiling` as soon
+    as that many vectors are independent mod p (rank_Q >= rank_p = ceiling
+    >= rank_Q); the vectors after them are never pulled, and a ceiling of 0
+    answers 0 at once.  Without one nothing is answered early.  In every
+    other case, a skipped vector, a vector of another length or a cell that
+    is not an int, the vectors consumed and the rest of the iterable go to
+    `IntegerEchelon`, which computes the rank exactly.
     """
     if ceiling is not None and ceiling < 0:
         raise ValueError(f"ceiling must be nonnegative, got {ceiling}")
@@ -343,9 +307,21 @@ def rank_of_columns(vectors: Iterable[Sequence], *, ceiling: int | None = None) 
         return 0
     it = iter(vectors)
     seen: list = []
-    rank = _independent_mod_p(it, seen, ceiling)
-    if rank is not None:
-        return rank
+    for v in it:
+        if not seen:
+            mod_p = _EchelonModP(len(v))
+        seen.append(v)
+        if len(v) != mod_p.dim:
+            break
+        try:
+            mod_p.add(v)
+        except TypeError:
+            break
+        if mod_p.rank == ceiling:
+            return ceiling
+    else:
+        if not seen or mod_p.rank == len(seen):
+            return len(seen)
     ech = IntegerEchelon(len(seen[0]))
     for v in chain(seen, it):
         ech.add(v)

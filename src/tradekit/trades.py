@@ -87,14 +87,18 @@ def total_trade(spec: TradeSpec) -> BooleanElement:
     (x_i, y_i), signed (-1)^(number of y's picked), joins each (k-t-1)-subset
     of the unused elements.  Every union arises exactly once, so each
     coefficient is +-1; when fewer than k-t-1 elements are unused the trade is
-    zero.
+    zero.  A trade of more than 2^24 terms raises ValueError before any term
+    is listed.
     """
     if spec.tail is not None:
         raise ValueError("total trade takes no tail")
+    size = spec.k - spec.t - 1
+    terms = binomial(spec.n - 2 * spec.t - 2, size) << (spec.t + 1)
+    if terms > _MAX_CELLS:
+        raise ValueError(f"the trade would have {terms} terms, over the limit of {_MAX_CELLS}")
     # Over the reversed pairs the first pair varies fastest, so pick i takes y
     # from the pairs at the set bits of i, and its sign is _signs(t + 1)[i].
     picks = zip(_signs(spec.t + 1), product(*zip(spec.xs[::-1], spec.ys[::-1])))
-    size = spec.k - spec.t - 1
     if not size:
         return BooleanElement._make(spec.n, {tuple(sorted(p)): sign for sign, p in picks})
     used = set(spec.xs) | set(spec.ys)

@@ -167,18 +167,14 @@ def _matrix_rank(spec: MatrixSpec) -> int:
 
 def _witness(j: int, t: int, n: int) -> BooleanElement:
     # A grade-t vector in stratum j: y_0 is the sum of all t-sets, and y_j for
-    # j >= 1 is the first total trade of strength j - 1, which is sparse.
+    # j >= 1 is the total trade of the first spec of strength j - 1, which is
+    # sparse, and zero when n = 2j - 1, t = j leaves no spec;
+    # total_trade_specs rejects j > t and j - 1 + t > n.  sigma T(x, y) is
+    # +-T(sigma x, sigma y) and S_n is transitive on the specs, so any
+    # S_n-invariant span that holds y_j holds every total trade of stratum j.
     if j == 0:
         return BooleanElement(n, dict.fromkeys(colex_index(t, n), 1))
-    return _first_total_trade(j - 1, t, n)
-
-
-def _first_total_trade(t: int, k: int, n: int) -> BooleanElement:
-    # The total trade of the first spec, zero when n = 2t + 1, k = t + 1
-    # leaves no spec; total_trade_specs rejects t >= k and t + k > n.
-    # sigma T(x, y) is +-T(sigma x, sigma y) and S_n is transitive on the
-    # specs, so any S_n-invariant span that holds this trade holds them all.
-    spec = next(total_trade_specs(t, k, n), None)
+    spec = next(total_trade_specs(j - 1, t, n), None)
     return BooleanElement.zero(n) if spec is None else total_trade(spec)
 
 
@@ -497,7 +493,7 @@ def check_kernel_decomposition(t: int, k: int, n: int) -> Report:
     w = build_matrix(spec)
     kernel_dim = binomial(n, k) - _matrix_rank(spec)
     containment = [
-        not any(w.matvec(element_to_vector(_first_total_trade(i, k, n), k))) for i in range(t, k)
+        not any(w.matvec(element_to_vector(_witness(i + 1, k, n), k))) for i in range(t, k)
     ]
     _require_multiplicity_free(k, n)
     summands = [

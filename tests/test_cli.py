@@ -194,6 +194,14 @@ def test_basis_too_large_exits_2(capsys):
     assert code == 2 and out == "" and "over the limit of 16777216" in err
 
 
+def test_trades_too_large_exits_2(capsys):
+    # C(38, 19) tails of 2 picks each: refused before any tail is listed
+    code, out, err = run_cli(
+        capsys, "trades", "--n", "40", "--t", "0", "--k", "20", "--xs", "1", "--ys", "2"
+    )
+    assert code == 2 and out == "" and "over the limit of 16777216" in err
+
+
 def test_verify_command_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "inclusion-rank", "--n-max", "6")
     assert code == 0

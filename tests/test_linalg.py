@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from linalg_reference import identity, kernel_basis, transpose, zeros
@@ -10,7 +10,6 @@ from tradekit.boolean_algebra import MatrixSpec, build_matrix
 from tradekit.linalg import (
     IntegerEchelon,
     RationalMatrix,
-    _independent_mod_p,
     _reduced_mod_p,
     in_span,
     rank_of_columns,
@@ -116,21 +115,23 @@ def test_full_rank_certificate_answers_alone(add_calls):
 
 def test_certificate_type_check_is_folded_into_packing(add_calls):
     # The first vector with a Fraction or float cell ends the certificate,
-    # integral ones included; negative ints and ints of 2^64 and more are
-    # certified as their residues mod p.
+    # integral ones included, and every vector goes to the exact elimination;
+    # negative ints and ints of 2^64 and more are certified as their
+    # residues mod p.
     for bad in (Fraction(1, 2), Fraction(4), 0.5, 2.0):
         vectors = [(1, 0, 0), (0, bad, 1), (0, 0, 1)]
         for ceiling in (None, 3):
-            seen = []
-            assert _independent_mod_p(iter(vectors), seen, ceiling) is None
-            assert seen == vectors[:2]
+            add_calls.clear()
+            assert rank_of_columns(vectors, ceiling=ceiling) == 3
+            assert add_calls == vectors
+    add_calls.clear()
     big = 2**64 + 3
     for vectors in (
         [(-1, 0, 2), (0, -7, 1), (3, 1, -65522)],
         [(big, 1, 0), (0, big, 1), (2**70, 0, -(2**65))],
     ):
-        assert _independent_mod_p(iter(vectors), []) == 3
         assert rank_of_columns(vectors) == 3
+        assert rank_of_columns(vectors, ceiling=3) == 3
     assert add_calls == []
     # the exact elimination gives the same ranks as the reference
     for vectors in (
@@ -380,6 +381,57 @@ def test_echelon_matches_kernel_reference(case):
     for v in probes:
         inside = _reference_rank(rows + [v], ncols) == before
         assert ech.contains(v) == in_span(v, rows) == inside
+
+
+_CELLS = st.one_of(st.integers(-2, 2), st.sampled_from((65521, -65521, 2 * 65521, 65522)))
+
+
+@st.composite
+def _certificate_cases(draw):
+    """Small integer vectors, often dependent over Q or only modulo 65521,
+    with one cell turned into a `Fraction` in some of them."""
+    dim = draw(st.integers(1, 4))
+    vectors = draw(st.lists(st.lists(_CELLS, min_size=dim, max_size=dim), max_size=6))
+    if vectors and draw(st.booleans()):
+        i = draw(st.integers(0, len(vectors) - 1))
+        j = draw(st.integers(0, dim - 1))
+        vectors[i][j] = Fraction(vectors[i][j], draw(st.sampled_from((1, 2, 3))))
+    return [tuple(v) for v in vectors]
+
+
+def _certificate_settles(vectors, ceiling):
+    # The one rule, read off plain reductions mod p of the integer prefixes:
+    # some prefix reaches the ceiling, or all the vectors are integer
+    # vectors independent mod p.
+    if ceiling == 0:
+        return True
+    for m, v in enumerate(vectors, 1):
+        if any(type(x) is not int for x in v):
+            return False
+        if len(_rref_mod(vectors[:m], 65521)) == ceiling:
+            return True
+    return len(_rref_mod(vectors, 65521)) == len(vectors)
+
+
+@settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=150,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(vectors=_certificate_cases())
+@example(vectors=[(65521, 1), (0, 65521)])
+@example(vectors=[(1, 0), (2, 0), (0, 1)])
+@example(vectors=[(1, 0), (Fraction(2), 1), (0, 65521)])
+def test_one_certificate_rule(add_calls, vectors):
+    # Every ceiling at or above the rank gives the rank, and the exact
+    # elimination runs exactly when the certificate leaves the rank open.
+    rank = _reference_rank(vectors, len(vectors[0]) if vectors else 1)
+    for ceiling in (None, *range(rank, len(vectors) + 2)):
+        add_calls.clear()
+        assert rank_of_columns(vectors, ceiling=ceiling) == rank
+        assert (add_calls == []) == _certificate_settles(vectors, ceiling), ceiling
 
 
 def test_matrix_validation():

@@ -388,6 +388,25 @@ def test_total_trade_basis_size_limit(monkeypatch):
     assert len(total_trade_basis(3, 6, 12)) == binomial(12, 4) - binomial(12, 3)
 
 
+def test_total_trade_size_limit(monkeypatch):
+    # 2^(t+1) * C(n - 2t - 2, k - t - 1) terms, checked before any is
+    # listed: C(58, 29) tails at (0, 30, 60) raise at once, and a trade of
+    # exactly the limit is built.
+    def unlisted(*args):
+        raise AssertionError("tails listed")
+
+    monkeypatch.setattr("tradekit.trades.combinations", unlisted)
+    with pytest.raises(ValueError, match="over the limit of 16777216"):
+        total_trade(TradeSpec(60, 0, 30, (1,), (2,)))
+    monkeypatch.undo()
+    spec = TradeSpec(7, 1, 3, (1, 2), (3, 4))
+    monkeypatch.setattr("tradekit.trades._MAX_CELLS", 12)
+    assert len(total_trade(spec).terms()) == 12
+    monkeypatch.setattr("tradekit.trades._MAX_CELLS", 11)
+    with pytest.raises(ValueError, match="the trade would have 12 terms, over the limit of 11"):
+        total_trade(spec)
+
+
 def test_total_trade_basis_empty_at_n_2t_plus_1():
     # (t, t+1, 2t+1): t+1 disjoint pairs need 2t+2 elements, so there is no
     # spec, and the dimension C(n, t+1) - C(n, t) is 0

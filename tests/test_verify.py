@@ -497,9 +497,9 @@ def test_a_wrong_up_map_trips_the_span_guard(fresh_verify_caches, monkeypatch):
     with pytest.raises(verify.VerificationError, match="up-map from grade 2 to grade 5 at n=8"):
         check_total_trade_dim(1, 5, 8)
     monkeypatch.setattr(verify, "_up_map", up_map)
-    first = verify._first_total_trade
+    witness = verify._witness
     monkeypatch.setattr(
-        verify, "_first_total_trade", lambda t, k, n: -first(t, k, n) if k > t + 1 else first(t, k, n)
+        verify, "_witness", lambda j, k, n: -witness(j, k, n) if 1 <= j < k else witness(j, k, n)
     )
     with pytest.raises(verify.VerificationError, match="up-map from grade 1 to grade 6 at n=9"):
         verify._span_rank(0, 6, 9)
@@ -694,7 +694,7 @@ def test_downs_are_the_deletion_sums():
                 chosen = rng.sample(subsets, rng.randint(1, min(len(subsets), 12)))
                 cases.append(BooleanElement(n, {s: rng.randint(-4, 4) for s in chosen}))
             for t in range(min(k, n - k + 1)):
-                cases.append(verify._first_total_trade(t, k, n))
+                cases.append(verify._witness(t + 1, k, n))
                 if t + k < n:
                     spec = verify._random_minimal_spec(rng, t, k, n)
                     cases.append(minimal_trade(spec) * 5)
@@ -932,7 +932,10 @@ def test_orbit_decomposition_guard_catches_unaccounted_rank(fresh_verify_caches,
     # empty.  The character check sees that first; with it skipped, the
     # strata no longer fill M^3, and the check that must hold before any
     # orbit answer reads them still raises.
-    monkeypatch.setattr(verify, "_first_total_trade", lambda i, k, n: BooleanElement.zero(n))
+    witness = verify._witness
+    monkeypatch.setattr(
+        verify, "_witness", lambda j, k, n: witness(j, k, n) if j == 0 else BooleanElement.zero(n)
+    )
     e = total_trade(TradeSpec(7, 0, 3, (1,), (2,)))
     with pytest.raises(verify.VerificationError, match="stratum 1 at k=1 n=7 is not irreducible"):
         orbit_decomposition(e, 0)
@@ -1210,7 +1213,7 @@ def _exact_orbit_strata(e: BooleanElement, t: int) -> set[int]:
     strata = {
         i
         for i in range(t, k)
-        if ech.contains(element_to_vector(verify._first_total_trade(i, k, n), k))
+        if ech.contains(element_to_vector(verify._witness(i + 1, k, n), k))
     }
     assert ech.rank == verify._strata_dim(strata, n)
     return strata
